@@ -22,14 +22,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, rgamma
 
-from .errors import (ConfigError, DomainError, NumericalFailure,
-                     UncoveredRegion, UnsupportedExpansion)
+from .errors import (ConfigError, DomainError, UncoveredRegion,
+                     UnsupportedExpansion)
 from .measures import intrinsic_alpha, total_mass
+from .quadrature import tanh_sinh
 
 _LOG_FLOOR = -745.0  # below this exp() underflows to 0
+_DECAY_RTOL = 1e-10  # tanh-sinh tolerance of the decay integral
 
 
 @dataclass(frozen=True)
@@ -430,19 +431,37 @@ def default_t0(solver, alpha):
     return max((x_psi + 1.0) / a_abs, x_psi / a_abs + 1.0)
 
 
-def decay_integral(solver, alpha, lo, hi, rel_tol=1e-8):
-    """integral of psi(|alpha| r) / (|alpha| r) dr over [lo, hi]."""
+def decay_integral(solver, alpha, lo, hi, rel_tol=_DECAY_RTOL):
+    """integral of psi(|alpha| r) / (|alpha| r) dr over [lo, hi].
+
+    Substituting y = psi(|alpha| r), so that |alpha| r = y/phi(y) and
+    psi(|alpha| r)/(|alpha| r) = phi(y), turns it into
+
+        (1/|alpha|) * integral of (1 - y phi'(y)/phi(y)) dy
+                      over [psi(|alpha| lo), psi(|alpha| hi)],
+
+    which needs psi at the two ends only.  The new integrand is smooth and
+    lies in (0, 1); ``rel_tol`` is the tanh-sinh stopping tolerance.
+    """
     a_abs = as_alpha(alpha).abs
     if hi < lo:
         raise DomainError("integration bounds out of order")
     if hi == lo:
         return 0.0
-    value, err = quad(lambda r: solver.psi(a_abs * r) / (a_abs * r), lo, hi,
-                      epsabs=0.0, epsrel=rel_tol, limit=400)
-    if not math.isfinite(value) or (value != 0.0 and err / abs(value) > 100.0 * rel_tol):
-        raise NumericalFailure(
-            f"decay integral on [{lo}, {hi}] reached only {err:.2e}",
-            achieved=err)
+    y_lo, y_hi = solver.psi_values([a_abs * lo, a_abs * hi])
+    return _substituted_integral(solver.evaluator, y_lo, y_hi,
+                                 rel_tol) / a_abs
+
+
+def _substituted_integral(evaluator, y_lo, y_hi, rel_tol):
+    """integral of 1 - y phi'(y)/phi(y) over [y_lo, y_hi]."""
+    if y_hi == y_lo:
+        return 0.0
+
+    def integrand(y, _ya, _by):
+        return 1.0 - y * evaluator.phi_prime(y) / evaluator.phi(y)
+
+    value, _, _ = tanh_sinh(integrand, y_lo, y_hi, rel_tol=rel_tol)
     return value
 
 
@@ -505,9 +524,11 @@ def tail_ratio(solver, alpha, t):
 def log_tail_grid(solver, alpha, ts, t0=None):
     """Both log tails over a sorted grid, sharing one cumulative integral.
 
-    Returns (log_extinction, log_tagged) arrays.  Much cheaper than
-    separate calls when the grid is dense: the decay integral is built up
-    segment by segment.
+    Returns (log_extinction, log_tagged) arrays.  psi is solved once over
+    the grid and t0; the decay integral is the running sum of the segment
+    integrals of 1 - y phi'(y)/phi(y) between consecutive solved values
+    y = psi(|alpha| t) (the substitution of :func:`decay_integral`), and
+    psi' comes from the same values as phi(y)^2/(phi(y) - y phi'(y)).
     """
     alpha = as_alpha(alpha)
     ts = np.asarray(ts, dtype=float)
@@ -517,17 +538,13 @@ def log_tail_grid(solver, alpha, ts, t0=None):
         t0 = default_t0(solver, alpha)
     _check_window(solver, alpha, float(ts[0]), t0)
     a_abs = alpha.abs
-    log_ext = np.empty(ts.shape)
-    log_tag = np.empty(ts.shape)
-    integral = 0.0
-    prev = t0
-    for i, t in enumerate(ts):
-        integral += decay_integral(solver, alpha, prev, float(t))
-        prev = float(t)
-        psi_t = solver.psi(a_abs * t)
-        dpsi_t = solver.psi_prime(a_abs * t)
-        log_ext[i] = ((1.0 / a_abs - 1.0) * math.log(psi_t / t)
-                      + 0.5 * math.log(dpsi_t) - integral)
-        log_tag[i] = (math.log(t) + 0.5 * math.log(dpsi_t)
-                      - math.log(psi_t) - integral)
+    ys = solver.psi_values(a_abs * np.concatenate(([t0], ts)))
+    segments = [_substituted_integral(solver.evaluator, lo, hi, _DECAY_RTOL)
+                for lo, hi in zip(ys[:-1], ys[1:])]
+    integral = np.cumsum(segments) / a_abs
+    psi_t = ys[1:]
+    half_log_dpsi = 0.5 * np.log(solver.psi_prime_at(psi_t))
+    log_ext = ((1.0 / a_abs - 1.0) * np.log(psi_t / ts) + half_log_dpsi
+               - integral)
+    log_tag = np.log(ts) + half_log_dpsi - np.log(psi_t) - integral
     return log_ext, log_tag

@@ -2,19 +2,26 @@
 
 psi is defined on (x_psi, infinity) by psi(x)/phi(psi(x)) = x.  Both psi and
 psi(x)/x are strictly increasing because phi is increasing with phi(x)/x
-decreasing, so the defining equation is solved by safeguarded bracketing on
-the strictly increasing map y -> y/phi(y).
+decreasing.
 
-Determinism contract: a solve for a given x always starts from the same
-deterministic bracket and runs the same safeguarded iteration, so concurrent
-callers observe identical values regardless of interleaving; the solved-pair
-table only memoizes exact repeats (cheap, and the tail integrals revisit
-grid points constantly), it never influences a fresh solve.
+y = psi(x) is the root of g(y) = y - x phi(y).  g is convex (phi is concave)
+and strictly increasing from its root on, so Newton's method started to the
+right of the root decreases monotonically onto it.  ``PsiSolver.psi_values``
+solves a whole batch this way, one masked iteration per element: each start
+doubles up from max(1, x) until g >= 0, then Newton steps run until the
+step falls to rounding level.  An element whose slope turns nonpositive or
+non-finite, that exhausts its step budget, or whose result misses the
+residual contract falls back to deterministic bracketing and ``brentq``.
+
+Determinism contract: every step of the batched iteration is elementwise
+(phi and phi' of one point do not depend on the rest of its batch) and each
+element stops on its own test, so a point gets the bit-identical value
+whether it is solved alone, in any batch, or in any order; ``psi(x)`` is a
+one-point batch.  The memo holds exact repeats of x only: it never seeds or
+influences a fresh solve.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,6 +30,9 @@ from .errors import DomainError, NumericalFailure
 
 _EDGE_GUARD = 1e-6   # refuse x within this relative margin of x_psi
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_STOP = 4.0 * np.finfo(float).eps  # relative step ending a Newton run
+_MAX_DOUBLINGS = 200
+_MAX_NEWTON = 100
 
 
 class PsiSolver:
@@ -41,21 +51,69 @@ class PsiSolver:
         self.rtol = rtol
         self.x_psi = evaluator.x_psi()
         self._memo = {}
-        self._keys = []  # sorted memo keys, the solved-pair table
 
     def _ratio(self, y):
         return y / self.evaluator.phi(y)
 
     def psi(self, x):
         """psi(x) for scalar x > x_psi."""
-        x = float(x)
-        if x <= self.x_psi * (1.0 + _EDGE_GUARD) or x <= 0.0:
-            raise DomainError(
-                f"psi is defined for x > x_psi = {self.x_psi:.6g}, got {x}")
-        cached = self._memo.get(x)
-        if cached is not None:
-            return cached
+        return float(self.psi_values(np.array([float(x)]))[0])
 
+    def psi_values(self, xs):
+        """psi at every point of the 1-D array ``xs``, each finite and above
+        x_psi."""
+        xs = np.asarray(xs, dtype=float).ravel()
+        bad = ~(np.isfinite(xs) & (xs > 0.0)
+                & (xs > self.x_psi * (1.0 + _EDGE_GUARD)))
+        if bad.any():
+            raise DomainError(
+                f"psi is defined for x > x_psi = {self.x_psi:.6g}, "
+                f"got {xs[np.argmax(bad)]}")
+        keys = xs.tolist()
+        ys = np.array([self._memo.get(x, np.nan) for x in keys])
+        fresh = np.flatnonzero(np.isnan(ys))
+        if fresh.size:
+            ys[fresh] = self._solve(xs[fresh])
+            for i in fresh.tolist():
+                self._memo[keys[i]] = float(ys[i])
+        return ys
+
+    def _solve(self, xs):
+        """Masked per-element Newton on g(y) = y - x phi(y); see the module
+        docstring."""
+        phi, dphi = self.evaluator.phi, self.evaluator.phi_prime
+        y = np.maximum(xs, 1.0)
+        stalled = np.zeros(xs.shape, dtype=bool)
+        # double every start until it lies right of its root, g(y) >= 0
+        left = np.arange(xs.size)
+        for _ in range(_MAX_DOUBLINGS):
+            left = left[~(y[left] - xs[left] * phi(y[left]) >= 0.0)]
+            if not left.size:
+                break
+            y[left] *= 2.0
+        stalled[left] = True
+        active = np.flatnonzero(~stalled)
+        for _ in range(_MAX_NEWTON):
+            if not active.size:
+                break
+            ya, xa = y[active], xs[active]
+            slope = 1.0 - xa * dphi(ya)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (ya - xa * phi(ya)) / slope
+            ok = (slope > 0.0) & np.isfinite(step)
+            stalled[active[~ok]] = True
+            move = ok & (step > 0.0)
+            y[active[move]] = ya[move] - step[move]
+            active = active[ok & (step > _NEWTON_STOP * ya)]
+        stalled[active] = True
+        resid = np.abs(self._ratio(y) - xs)
+        stalled |= ~(resid <= self.rtol * xs)
+        for i in np.flatnonzero(stalled).tolist():
+            y[i] = self._bracket_solve(float(xs[i]))
+        return y
+
+    def _bracket_solve(self, x):
+        """Fallback: safeguarded bracketing and brentq for one x."""
         # deterministic bracket: double up from max(1, x) until the ratio
         # exceeds x, halve down until it falls below
         hi = max(1.0, x)
@@ -80,30 +138,24 @@ class PsiSolver:
             raise NumericalFailure(
                 f"psi({x}) residual {residual:.3e} exceeds {self.rtol:.1e}*x",
                 achieved=residual / x)
-        self._memo[x] = y
-        bisect.insort(self._keys, x)
         return y
 
-    def psi_values(self, xs):
-        """Vector convenience wrapper."""
-        return np.array([self.psi(float(v)) for v in np.asarray(xs).ravel()])
-
     def psi_prime(self, x):
-        """Derivative of psi by implicit differentiation:
-        psi'(x) = phi(y)^2 / (phi(y) - y phi'(y)) at y = psi(x)."""
-        y = self.psi(x)
-        phi_y = self.evaluator.phi(y)
-        dphi_y = self.evaluator.phi_prime(y)
-        denom = phi_y - y * dphi_y
-        if denom <= 0.0:
+        """Derivative of psi at scalar x; see :meth:`psi_prime_at`."""
+        return float(self.psi_prime_at(np.array([self.psi(x)]))[0])
+
+    def psi_prime_at(self, ys):
+        """psi' at the points x = y/phi(y), from their solved values
+        y = psi(x), by implicit differentiation:
+        psi'(x) = phi(y)^2 / (phi(y) - y phi'(y))."""
+        ys = np.asarray(ys, dtype=float)
+        phi_y = self.evaluator.phi(ys)
+        denom = phi_y - ys * self.evaluator.phi_prime(ys)
+        if not np.all(denom > 0.0):
             raise NumericalFailure(
-                f"psi'({x}): nonpositive denominator {denom:.3e} violates "
+                f"psi': nonpositive denominator {np.min(denom):.3e} violates "
                 "strict monotonicity of x/phi(x); evaluator inconsistency")
         return phi_y * phi_y / denom
-
-    def solved_pairs(self):
-        """Monotone table of (x, psi(x)) pairs solved so far."""
-        return [(x, self._memo[x]) for x in self._keys]
 
     def growth_exponent(self, x_max, octaves=8):
         """Empirical growth exponent of psi near x_max.

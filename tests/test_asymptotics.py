@@ -289,3 +289,31 @@ def test_pipeline_agreement_single_family():
                      - (1.5 - 1.0) ** (1.5 - 1.0) * ts ** 1.5)
     drift2 = log_tag - tag_shape_log
     assert np.max(drift2) - np.min(drift2) < 0.1
+
+
+def test_decay_integral_against_mpmath_oracle():
+    # the r-space integral at 20 digits, with psi from mpmath's own root
+    # finder on the gamma-function phi of beta-splitting(-1.6):
+    # phi(y) = G(y + beta + 2)/G(y + 2 beta + 3) - G(beta + 2)/G(2 beta + 3)
+    mp = pytest.importorskip("mpmath")
+    spec = M.make_beta_splitting(-1.6)
+    s = solver_for(spec)
+    alpha = -0.6
+    t0 = default_t0(s, alpha)
+    with mp.workdps(20):
+        beta, a_abs = mp.mpf(-1.6), mp.mpf(0.6)
+        c0 = mp.gamma(beta + 2) / mp.gamma(2 * beta + 3)
+
+        def phi(y):
+            return mp.gamma(y + beta + 2) / mp.gamma(y + 2 * beta + 3) - c0
+
+        def integrand(r):
+            x = a_abs * r
+            y = mp.findroot(lambda v: v / phi(v) - x, mp.mpf(s.psi(float(x))))
+            return y / x
+
+        i400 = mp.quad(integrand, [t0, 100, 400])
+        i500 = i400 + mp.quad(integrand, [400, 500])
+        for t, oracle in ((400.0, i400), (500.0, i500)):
+            value = decay_integral(s, alpha, t0, t)
+            assert abs(value - float(oracle)) <= 1e-12 * float(oracle)

@@ -124,14 +124,59 @@ def test_interleaving_independent_values():
     assert vals_a == vals_b
 
 
-def test_solved_pair_table_is_monotone():
+def test_psi_values_sorted_batch_is_monotone():
     s = solver_for(M.make_beta(2.0, 3.0))
-    for x in (40.0, 3.0, 17.0, 90.0, 5.5):
-        s.psi(x)
-    pairs = s.solved_pairs()
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    assert xs == sorted(xs)
-    assert ys == sorted(ys)
-    ratio = [y / x for x, y in pairs]
-    assert ratio == sorted(ratio)  # psi(x)/x increasing in the table
+    xs = np.array([3.0, 5.5, 17.0, 40.0, 90.0])
+    ys = s.psi_values(xs)
+    assert np.all(np.diff(ys) > 0.0)
+    assert np.all(np.diff(ys / xs) > 0.0)  # psi(x)/x increasing
+    assert np.all(np.abs(ys / s.evaluator.phi(ys) - xs) <= 1e-10 * xs)
+
+
+REGISTRY = FAMILIES + [
+    M.make_identical(3),
+    M.make_uniform(5),
+    M.make_beta(0.8, 0.9),
+    M.make_stable(1.25),
+    M.make_ford(0.7),
+    M.make_beta_splitting(-1.9),
+    M.make_atomic([(1.0, (0.6, 0.3))]),
+    M.make_atomic([(0.5, (0.6, 0.2)), (1.5, (0.9, 0.1))]),
+]
+
+
+@pytest.mark.parametrize("spec", REGISTRY)
+def test_psi_values_bit_identical_to_scalar(spec):
+    # a point's value does not depend on the batch it is solved in
+    ev = PhiEvaluator(spec)
+    xs = ev.x_psi() * (1.0 + 2e-6) + np.geomspace(1e-6, 1e3, 25)
+    batch = PsiSolver(ev).psi_values(xs)
+    one = PsiSolver(ev)
+    assert [float(v) for v in batch] == [one.psi(float(x)) for x in xs]
+    rev = PsiSolver(ev).psi_values(xs[::-1])[::-1]
+    assert np.array_equal(rev, batch)
+
+
+@pytest.mark.parametrize("spec", [M.make_uniform(2), M.make_stable(1.5),
+                                  M.make_beta_splitting(-1.6),
+                                  M.make_atomic([(1.0, (0.6, 0.3))])])
+def test_bracketing_fallback_agrees_with_newton(spec, monkeypatch):
+    from fragtail import inversion
+    ev = PhiEvaluator(spec)
+    xs = ev.x_psi() * (1.0 + 2e-6) + np.geomspace(1e-5, 1e3, 15)
+    newton = PsiSolver(ev).psi_values(xs)
+    monkeypatch.setattr(inversion, "_MAX_NEWTON", 0)  # every point stalls
+    bracketed = PsiSolver(ev).psi_values(xs)
+    for ys in (newton, bracketed):
+        assert np.all(np.abs(ys / ev.phi(ys) - xs) <= 1e-10 * xs)
+    # near x_psi psi is ill-conditioned (phi there is only accurate to
+    # absolute rounding), so the two roots agree closely only away from it
+    far = xs >= ev.x_psi() + 1.0
+    assert np.all(np.abs(bracketed - newton)[far] <= 1e-12 * newton[far])
+
+
+def test_psi_values_domain_guard():
+    s = solver_for(M.make_uniform(2))
+    for bad in ([3.0, 1.0], [3.0, np.nan], [np.inf]):
+        with pytest.raises(DomainError):
+            s.psi_values(bad)

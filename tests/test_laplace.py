@@ -26,6 +26,18 @@ ALL_FAMILIES = [
 ]
 
 
+@pytest.mark.parametrize("spec", ALL_FAMILIES)
+def test_batch_invariant_values(spec):
+    # a point's phi and phi' do not depend on the batch it is evaluated in
+    ev = PhiEvaluator(spec)
+    xs = np.geomspace(1e-3, 1e4, 25)
+    for f in (ev.phi, ev.phi_prime):
+        batch = f(xs)
+        assert [float(v) for v in batch] == [f(float(x)) for x in xs]
+        assert [float(v) for v in batch] == [float(f(xs[i:i + 1])[0])
+                                            for i in range(len(xs))]
+
+
 def test_uniform_two_closed_form():
     ev = PhiEvaluator(M.make_uniform(2))
     x = np.array([0.5, 1.0, 2.0, 10.0])
