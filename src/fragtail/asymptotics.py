@@ -30,7 +30,6 @@ from .measures import intrinsic_alpha, total_mass
 from .quadrature import tanh_sinh
 
 _LOG_FLOOR = -745.0  # below this exp() underflows to 0
-_DECAY_RTOL = 1e-10  # tanh-sinh tolerance of the decay integral
 
 
 @dataclass(frozen=True)
@@ -431,7 +430,7 @@ def default_t0(solver, alpha):
     return max((x_psi + 1.0) / a_abs, x_psi / a_abs + 1.0)
 
 
-def decay_integral(solver, alpha, lo, hi, rel_tol=_DECAY_RTOL):
+def decay_integral(solver, alpha, lo, hi, rel_tol=1e-10):
     """integral of psi(|alpha| r) / (|alpha| r) dr over [lo, hi].
 
     Substituting y = psi(|alpha| r), so that |alpha| r = y/phi(y) and
@@ -448,21 +447,16 @@ def decay_integral(solver, alpha, lo, hi, rel_tol=_DECAY_RTOL):
         raise DomainError("integration bounds out of order")
     if hi == lo:
         return 0.0
-    y_lo, y_hi = solver.psi_values([a_abs * lo, a_abs * hi])
-    return _substituted_integral(solver.evaluator, y_lo, y_hi,
-                                 rel_tol) / a_abs
-
-
-def _substituted_integral(evaluator, y_lo, y_hi, rel_tol):
-    """integral of 1 - y phi'(y)/phi(y) over [y_lo, y_hi]."""
+    y_lo, y_hi = solver.psi(a_abs * lo), solver.psi(a_abs * hi)
     if y_hi == y_lo:
         return 0.0
+    evaluator = solver.evaluator
 
     def integrand(y, _ya, _by):
         return 1.0 - y * evaluator.phi_prime(y) / evaluator.phi(y)
 
     value, _, _ = tanh_sinh(integrand, y_lo, y_hi, rel_tol=rel_tol)
-    return value
+    return value / a_abs
 
 
 def _check_window(solver, alpha, t, t0):
@@ -525,9 +519,9 @@ def log_tail_grid(solver, alpha, ts, t0=None):
     """Both log tails over a sorted grid, sharing one cumulative integral.
 
     Returns (log_extinction, log_tagged) arrays.  psi is solved once over
-    the grid and t0; the decay integral is the running sum of the segment
-    integrals of 1 - y phi'(y)/phi(y) between consecutive solved values
-    y = psi(|alpha| t) (the substitution of :func:`decay_integral`), and
+    t0 and the grid.  The decay integral is the running sum of
+    :func:`decay_integral` over consecutive grid segments, each the integral
+    of 1 - y phi'(y)/phi(y) between solved values y = psi(|alpha| t), and
     psi' comes from the same values as phi(y)^2/(phi(y) - y phi'(y)).
     """
     alpha = as_alpha(alpha)
@@ -539,9 +533,10 @@ def log_tail_grid(solver, alpha, ts, t0=None):
     _check_window(solver, alpha, float(ts[0]), t0)
     a_abs = alpha.abs
     ys = solver.psi_values(a_abs * np.concatenate(([t0], ts)))
-    segments = [_substituted_integral(solver.evaluator, lo, hi, _DECAY_RTOL)
-                for lo, hi in zip(ys[:-1], ys[1:])]
-    integral = np.cumsum(segments) / a_abs
+    # the segments find their ends in the psi memo
+    bounds = [t0] + ts.tolist()
+    integral = np.cumsum([decay_integral(solver, alpha, lo, hi)
+                          for lo, hi in zip(bounds[:-1], bounds[1:])])
     psi_t = ys[1:]
     half_log_dpsi = 0.5 * np.log(solver.psi_prime_at(psi_t))
     log_ext = ((1.0 / a_abs - 1.0) * np.log(psi_t / ts) + half_log_dpsi

@@ -2,26 +2,21 @@
 
 psi is defined on (x_psi, infinity) by psi(x)/phi(psi(x)) = x.  Both psi and
 psi(x)/x are strictly increasing because phi is increasing with phi(x)/x
-decreasing.
+decreasing, so the defining equation is solved by safeguarded bracketing on
+the strictly increasing map y -> y/phi(y).  ``psi_values`` solves a batch
+point by point.
 
-y = psi(x) is the root of g(y) = y - x phi(y).  g is convex (phi is concave)
-and strictly increasing from its root on, so Newton's method started to the
-right of the root decreases monotonically onto it.  ``PsiSolver.psi_values``
-solves a whole batch this way, one masked iteration per element: each start
-doubles up from max(1, x) until g >= 0, then Newton steps run until the
-step falls to rounding level.  An element whose slope turns nonpositive or
-non-finite, that exhausts its step budget, or whose result misses the
-residual contract falls back to deterministic bracketing and ``brentq``.
-
-Determinism contract: every step of the batched iteration is elementwise
-(phi and phi' of one point do not depend on the rest of its batch) and each
-element stops on its own test, so a point gets the bit-identical value
-whether it is solved alone, in any batch, or in any order; ``psi(x)`` is a
-one-point batch.  The memo holds exact repeats of x only: it never seeds or
-influences a fresh solve.
+Determinism contract: a solve for a given x always starts from the same
+deterministic bracket and runs the same safeguarded iteration on scalar phi
+values, so a point gets the bit-identical value whether it is solved alone,
+in any batch, in any order, or by concurrent callers.  The memo holds exact
+repeats of x only (cheap, and the two tails of one t share their ends): it
+never seeds or influences a fresh solve.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import brentq
@@ -30,9 +25,6 @@ from .errors import DomainError, NumericalFailure
 
 _EDGE_GUARD = 1e-6   # refuse x within this relative margin of x_psi
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
-_NEWTON_STOP = 4.0 * np.finfo(float).eps  # relative step ending a Newton run
-_MAX_DOUBLINGS = 200
-_MAX_NEWTON = 100
 
 
 class PsiSolver:
@@ -56,64 +48,16 @@ class PsiSolver:
         return y / self.evaluator.phi(y)
 
     def psi(self, x):
-        """psi(x) for scalar x > x_psi."""
-        return float(self.psi_values(np.array([float(x)]))[0])
-
-    def psi_values(self, xs):
-        """psi at every point of the 1-D array ``xs``, each finite and above
-        x_psi."""
-        xs = np.asarray(xs, dtype=float).ravel()
-        bad = ~(np.isfinite(xs) & (xs > 0.0)
-                & (xs > self.x_psi * (1.0 + _EDGE_GUARD)))
-        if bad.any():
+        """psi(x) for scalar, finite x > x_psi."""
+        x = float(x)
+        if not (math.isfinite(x) and x > 0.0
+                and x > self.x_psi * (1.0 + _EDGE_GUARD)):
             raise DomainError(
-                f"psi is defined for x > x_psi = {self.x_psi:.6g}, "
-                f"got {xs[np.argmax(bad)]}")
-        keys = xs.tolist()
-        ys = np.array([self._memo.get(x, np.nan) for x in keys])
-        fresh = np.flatnonzero(np.isnan(ys))
-        if fresh.size:
-            ys[fresh] = self._solve(xs[fresh])
-            for i in fresh.tolist():
-                self._memo[keys[i]] = float(ys[i])
-        return ys
+                f"psi is defined for x > x_psi = {self.x_psi:.6g}, got {x}")
+        cached = self._memo.get(x)
+        if cached is not None:
+            return cached
 
-    def _solve(self, xs):
-        """Masked per-element Newton on g(y) = y - x phi(y); see the module
-        docstring."""
-        phi, dphi = self.evaluator.phi, self.evaluator.phi_prime
-        y = np.maximum(xs, 1.0)
-        stalled = np.zeros(xs.shape, dtype=bool)
-        # double every start until it lies right of its root, g(y) >= 0
-        left = np.arange(xs.size)
-        for _ in range(_MAX_DOUBLINGS):
-            left = left[~(y[left] - xs[left] * phi(y[left]) >= 0.0)]
-            if not left.size:
-                break
-            y[left] *= 2.0
-        stalled[left] = True
-        active = np.flatnonzero(~stalled)
-        for _ in range(_MAX_NEWTON):
-            if not active.size:
-                break
-            ya, xa = y[active], xs[active]
-            slope = 1.0 - xa * dphi(ya)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = (ya - xa * phi(ya)) / slope
-            ok = (slope > 0.0) & np.isfinite(step)
-            stalled[active[~ok]] = True
-            move = ok & (step > 0.0)
-            y[active[move]] = ya[move] - step[move]
-            active = active[ok & (step > _NEWTON_STOP * ya)]
-        stalled[active] = True
-        resid = np.abs(self._ratio(y) - xs)
-        stalled |= ~(resid <= self.rtol * xs)
-        for i in np.flatnonzero(stalled).tolist():
-            y[i] = self._bracket_solve(float(xs[i]))
-        return y
-
-    def _bracket_solve(self, x):
-        """Fallback: safeguarded bracketing and brentq for one x."""
         # deterministic bracket: double up from max(1, x) until the ratio
         # exceeds x, halve down until it falls below
         hi = max(1.0, x)
@@ -138,7 +82,13 @@ class PsiSolver:
             raise NumericalFailure(
                 f"psi({x}) residual {residual:.3e} exceeds {self.rtol:.1e}*x",
                 achieved=residual / x)
+        self._memo[x] = y
         return y
+
+    def psi_values(self, xs):
+        """psi at every point of ``xs``, as a flat array."""
+        return np.array([self.psi(v)
+                         for v in np.asarray(xs, dtype=float).ravel().tolist()])
 
     def psi_prime(self, x):
         """Derivative of psi at scalar x; see :meth:`psi_prime_at`."""

@@ -390,8 +390,8 @@ class PhiEvaluator:
             raise DomainError("phi requires x >= 0")
         scale = self.spec.scale
         if self.method == "atomic-sum":
-            val = scale * (self._weight_total
-                           - self._atom_sum(x, self._part_weights))
+            powered = np.exp(np.multiply.outer(x + 1.0, self._log_parts))
+            val = scale * (self._weight_total - powered @ self._part_weights)
             return float(val) if x.ndim == 0 else val
         if self.method == "closed-form":
             val = scale * self._phi_base(x)
@@ -406,26 +406,21 @@ class PhiEvaluator:
             raise DomainError("phi_prime requires x >= 0")
         scale = self.spec.scale
         if self.method == "atomic-sum":
-            val = -scale * self._atom_sum(
-                x, self._part_weights * self._log_parts)
+            # the parts are added one at a time in a fixed order, not by a
+            # BLAS product, whose summation order may depend on how many
+            # points are evaluated together: a point's value must not
+            # depend on its batch
+            terms = (np.exp(np.multiply.outer(x + 1.0, self._log_parts))
+                     * (self._part_weights * self._log_parts))
+            total = terms[..., 0]
+            for j in range(1, terms.shape[-1]):
+                total = total + terms[..., j]
+            val = -scale * total
             return float(val) if x.ndim == 0 else val
         if self.method == "closed-form":
             val = scale * self._dphi_base(x)
             return float(val) if x.ndim == 0 else val
         return self._quad_phi(x, derivative=True)
-
-    def _atom_sum(self, x, coef):
-        """sum_j coef_j * s_j**(x+1) over the flattened atom parts s_j.
-
-        The parts are added one at a time in a fixed order, not by a BLAS
-        product, whose summation order may depend on how many points are
-        evaluated together; this way a point's value does not depend on its
-        batch."""
-        terms = np.exp(np.multiply.outer(x + 1.0, self._log_parts)) * coef
-        total = terms[..., 0]
-        for j in range(1, terms.shape[-1]):
-            total = total + terms[..., j]
-        return total
 
     def _quad_phi(self, x, derivative=False):
         spec = self.spec

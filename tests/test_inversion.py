@@ -157,24 +157,6 @@ def test_psi_values_bit_identical_to_scalar(spec):
     assert np.array_equal(rev, batch)
 
 
-@pytest.mark.parametrize("spec", [M.make_uniform(2), M.make_stable(1.5),
-                                  M.make_beta_splitting(-1.6),
-                                  M.make_atomic([(1.0, (0.6, 0.3))])])
-def test_bracketing_fallback_agrees_with_newton(spec, monkeypatch):
-    from fragtail import inversion
-    ev = PhiEvaluator(spec)
-    xs = ev.x_psi() * (1.0 + 2e-6) + np.geomspace(1e-5, 1e3, 15)
-    newton = PsiSolver(ev).psi_values(xs)
-    monkeypatch.setattr(inversion, "_MAX_NEWTON", 0)  # every point stalls
-    bracketed = PsiSolver(ev).psi_values(xs)
-    for ys in (newton, bracketed):
-        assert np.all(np.abs(ys / ev.phi(ys) - xs) <= 1e-10 * xs)
-    # near x_psi psi is ill-conditioned (phi there is only accurate to
-    # absolute rounding), so the two roots agree closely only away from it
-    far = xs >= ev.x_psi() + 1.0
-    assert np.all(np.abs(bracketed - newton)[far] <= 1e-12 * newton[far])
-
-
 def test_psi_values_domain_guard():
     s = solver_for(M.make_uniform(2))
     for bad in ([3.0, 1.0], [3.0, np.nan], [np.inf]):
