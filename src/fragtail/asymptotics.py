@@ -468,6 +468,27 @@ def _check_window(solver, alpha, t, t0):
         raise DomainError(f"t = {t} below the integration start t0 = {t0}")
 
 
+def _tail_parts(solver, alpha, t, t0):
+    """What both tails at t share: psi(|a| t), half log psi'(|a| t) and the
+    decay integral over [t0, t], kept in the solver's exact-repeat
+    ``tail_memo`` so the second tail at one t reuses the first's work."""
+    a_abs = alpha.abs
+    key = (a_abs, t, t0)
+    parts = solver.tail_memo.get(key)
+    if parts is None:
+        psi_t = solver.psi(a_abs * t)
+        dpsi = solver.psi_prime_at(np.array([psi_t]))[0]
+        parts = (psi_t, 0.5 * math.log(dpsi),
+                 decay_integral(solver, alpha, t0, t))
+        solver.tail_memo[key] = parts
+    return parts
+
+
+def _estimate(log_val, t, t0):
+    value = math.exp(log_val) if log_val > _LOG_FLOOR else None
+    return TailEstimate(log_value=log_val, value=value, t=t, t0=t0)
+
+
 def extinction_log_tail(solver, alpha, t, t0=None):
     """Tail class of the extinction time of the whole cascade:
 
@@ -480,12 +501,9 @@ def extinction_log_tail(solver, alpha, t, t0=None):
     if t0 is None:
         t0 = default_t0(solver, alpha)
     _check_window(solver, alpha, t, t0)
-    a_abs = alpha.abs
-    log_pref = ((1.0 / a_abs - 1.0) * math.log(solver.psi(a_abs * t) / t)
-                + 0.5 * math.log(solver.psi_prime(a_abs * t)))
-    log_val = log_pref - decay_integral(solver, alpha, t0, t)
-    value = math.exp(log_val) if log_val > _LOG_FLOOR else None
-    return TailEstimate(log_value=log_val, value=value, t=t, t0=t0)
+    psi_t, half_log_dpsi, integral = _tail_parts(solver, alpha, t, t0)
+    log_pref = (1.0 / alpha.abs - 1.0) * math.log(psi_t / t) + half_log_dpsi
+    return _estimate(log_pref - integral, t, t0)
 
 
 def tagged_log_tail(solver, alpha, t, t0=None):
@@ -497,12 +515,9 @@ def tagged_log_tail(solver, alpha, t, t0=None):
     if t0 is None:
         t0 = default_t0(solver, alpha)
     _check_window(solver, alpha, t, t0)
-    a_abs = alpha.abs
-    log_pref = (math.log(t) + 0.5 * math.log(solver.psi_prime(a_abs * t))
-                - math.log(solver.psi(a_abs * t)))
-    log_val = log_pref - decay_integral(solver, alpha, t0, t)
-    value = math.exp(log_val) if log_val > _LOG_FLOOR else None
-    return TailEstimate(log_value=log_val, value=value, t=t, t0=t0)
+    psi_t, half_log_dpsi, integral = _tail_parts(solver, alpha, t, t0)
+    log_pref = math.log(t) + half_log_dpsi - math.log(psi_t)
+    return _estimate(log_pref - integral, t, t0)
 
 
 def tail_ratio(solver, alpha, t):

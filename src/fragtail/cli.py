@@ -33,6 +33,7 @@ from .stats import shape_fit, survival_curve
 _CONFIG_EXIT = (ConfigError, UnsupportedSampling, OSError)
 _NUMERIC_EXIT = (DomainError, NumericalFailure, UncoveredRegion,
                  UnsupportedExpansion, InsufficientWindow)
+_CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(value):
@@ -181,6 +182,27 @@ def cmd_shape(args):
     return 0
 
 
+def _csv_column(values):
+    """One numeric column as ``_fmt`` writes each value: floats with 17
+    significant digits, integers and booleans as integers."""
+    values = np.asarray(values)
+    if values.dtype.kind != "f":
+        return [str(v) for v in values.astype(np.int64).tolist()]
+    if np.isfinite(values).all():
+        return [format(v, ".17g") for v in values.tolist()]
+    return [_fmt(v) for v in values.tolist()]
+
+
+def _write_csv(fh, header, columns):
+    """Header and rows with the line ends ``csv.writer`` uses; no field
+    written here needs quoting.  Columns are formatted a block of rows at a
+    time, so the strings held at once stay bounded for any run count."""
+    fh.write(",".join(header) + "\r\n")
+    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        cells = [_csv_column(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
+        fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+
+
 def cmd_simulate(args):
     spec = _measure(args)
     checkpoints = tuple(float(v) for v in args.checkpoints.split(",")) \
@@ -198,34 +220,24 @@ def cmd_simulate(args):
     fh = sys.stdout if out == "-" else open(out, "w", newline="")
     try:
         fh.write("# " + dumps17(header) + "\n")
-        writer = csv.writer(fh)
         cols = ["run_id", "extinction_est", "trunc_error_bound", "truncated",
                 "first_event"]
-        for t in checkpoints:
+        data = [np.arange(ens.n_runs), ens.zeta, ens.trunc_error_bound,
+                ens.truncated, ens.first_event]
+        for j, t in enumerate(checkpoints):
             cols += [f"F1_t{t:g}", f"S1_t{t:g}", f"S2_t{t:g}"]
+            data += [ens.largest[:, j], ens.sum_masses[:, j],
+                     ens.sum_squares[:, j]]
             for k in range(args.tags):
                 cols.append(f"tag{k + 1}_t{t:g}")
+                data.append(ens.tag_mass[k, :, j])
         if args.tags == 2:
             cols.append("t_sep")
+            data.append(ens.separation_time)
         for k in range(args.tags):
             cols += [f"tag{k + 1}_death", f"tag{k + 1}_killed"]
-        writer.writerow(cols)
-        for i in range(ens.n_runs):
-            row = [i, _fmt(float(ens.zeta[i])),
-                   _fmt(float(ens.trunc_error_bound[i])),
-                   int(ens.truncated[i]), _fmt(float(ens.first_event[i]))]
-            for j in range(len(checkpoints)):
-                row.append(_fmt(float(ens.largest[i, j])))
-                row.append(_fmt(float(ens.sum_masses[i, j])))
-                row.append(_fmt(float(ens.sum_squares[i, j])))
-                for k in range(args.tags):
-                    row.append(_fmt(float(ens.tag_mass[k, i, j])))
-            if args.tags == 2:
-                row.append(_fmt(float(ens.separation_time[i])))
-            for k in range(args.tags):
-                row.append(_fmt(float(ens.tag_death[k, i])))
-                row.append(int(ens.tag_killed[k, i]))
-            writer.writerow(row)
+            data += [ens.tag_death[k], ens.tag_killed[k]]
+        _write_csv(fh, cols, data)
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -242,12 +254,9 @@ def cmd_zeta_tag(args):
     fh = sys.stdout if dest == "-" else open(dest, "w", newline="")
     try:
         fh.write("# " + dumps17(header) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "value", "trunc_bound", "killed"])
-        for i in range(args.n):
-            writer.writerow([i, _fmt(float(out["value"][i])),
-                             _fmt(float(out["bound"][i])),
-                             int(out["killed"][i])])
+        _write_csv(fh, ["sample_id", "value", "trunc_bound", "killed"],
+                   [np.arange(args.n), out["value"], out["bound"],
+                    out["killed"]])
     finally:
         if fh is not sys.stdout:
             fh.close()

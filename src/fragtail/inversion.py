@@ -10,8 +10,16 @@ Determinism contract: a solve for a given x always starts from the same
 deterministic bracket and runs the same safeguarded iteration on scalar phi
 values, so a point gets the bit-identical value whether it is solved alone,
 in any batch, in any order, or by concurrent callers.  The memo holds exact
-repeats of x only (cheap, and the two tails of one t share their ends): it
-never seeds or influences a fresh solve.
+repeats of x only (cheap, and a tail, its decay integral and the grid
+segments ask for the same ends): it never seeds or influences a fresh
+solve.
+
+The solver also carries ``tail_memo``, where
+:mod:`fragtail.asymptotics` keeps the ingredients both tails at one t share
+(psi(|alpha| t), half log psi'(|alpha| t) and the decay integral from t0),
+under the same contract: the key is the exact (|alpha|, t, t0), and a stored
+value never seeds or steers a fresh computation, so every tail is
+bit-identical with or without it.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ class PsiSolver:
         self.rtol = rtol
         self.x_psi = evaluator.x_psi()
         self._memo = {}
+        self.tail_memo = {}
 
     def _ratio(self, y):
         return y / self.evaluator.phi(y)

@@ -229,8 +229,13 @@ def beta_gap_integral(a, b, x, rel_tol=1e-10):
 
 
 def _phi_uniform(k, x):
-    e = np.exp(gammaln(k + 1.0) - gammaln_diff(x + 2.0, k - 1.0))
-    return 1.0 - e
+    # 1 - k! Gamma(x + 2)/Gamma(x + k + 1) = 1 - prod_{j=2..k} 1/(1 + x/j),
+    # taken as -expm1(-sum log1p(x/j)) to keep full relative accuracy as
+    # x -> 0, where 1 - exp(gamma-function difference) cancels
+    log_prod = np.zeros_like(x)
+    for j in range(2, k + 1):
+        log_prod = log_prod + np.log1p(x / j)
+    return -np.expm1(-log_prod)
 
 
 def _dphi_uniform(k, x):

@@ -13,6 +13,7 @@ cancellation, which is what keeps terms like ``(1 - u)**(-0.9)`` accurate at
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,12 +23,14 @@ from .errors import NumericalFailure
 _T_MAX = 6.0  # |t| beyond this contributes < 1e-260 for any exponent > -1
 
 
+@functools.lru_cache(maxsize=None)
 def _nodes(level):
     """Abscissa parameters t and weights for one refinement level.
 
     Level 0 uses spacing h=1 on all integer multiples; level L >= 1 adds the
     odd multiples of h = 2**-L.  Returns (u, one_minus_u, weight) for the
-    unit interval, weight already including the spacing h.
+    unit interval, weight already including the spacing h.  Each level is
+    built once and shared, so the arrays are read-only.
     """
     h = 0.5 ** level
     if level == 0:
@@ -43,7 +46,10 @@ def _nodes(level):
     um1 = np.where(t >= 0.0, small, big)
     w = math.pi * np.cosh(t) * em / denom ** 2 * h
     keep = (w > 0.0) & (small > 0.0)
-    return u[keep], um1[keep], w[keep]
+    out = u[keep], um1[keep], w[keep]
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def tanh_sinh(f, a, b, rel_tol=1e-10, max_nodes=2 ** 14):

@@ -317,3 +317,56 @@ def test_decay_integral_against_mpmath_oracle():
         for t, oracle in ((400.0, i400), (500.0, i500)):
             value = decay_integral(s, alpha, t0, t)
             assert abs(value - float(oracle)) <= 1e-12 * float(oracle)
+
+
+EXACT_TAIL_SPECS = [
+    M.make_stable(1.25), M.make_stable(1.5), M.make_stable(2.0),
+    M.make_ford(0.5), M.make_beta_splitting(-1.6), M.make_uniform(2),
+    M.make_beta(0.8, 0.9), M.make_beta(2.0, 3.0), M.make_identical(2),
+    M.make_atomic([(1.0, (0.6, 0.3))]),
+]
+
+
+def _counting_tanh_sinh(monkeypatch):
+    import fragtail.asymptotics as asy
+    calls = []
+    real = asy.tanh_sinh
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asy, "tanh_sinh", counted)
+    return calls
+
+
+def test_tail_pair_shares_one_integration(monkeypatch):
+    calls = _counting_tanh_sinh(monkeypatch)
+    s = solver_for(M.make_stable(1.5))
+    alpha = intrinsic_alpha(M.make_stable(1.5))
+    extinction_log_tail(s, alpha, 120.0)
+    tagged_log_tail(s, alpha, 120.0)
+    assert len(calls) == 1
+
+
+def test_tail_memo_bit_identical_and_exact_key(monkeypatch):
+    # both tails on one solver equal, bit for bit, each tail computed on a
+    # solver of its own; a changed t0 is a fresh integration
+    for spec in EXACT_TAIL_SPECS:
+        alpha = intrinsic_alpha(spec) or -1.0
+        shared = solver_for(spec)
+        for t in (30.0, 95.0, 400.0):
+            ext = extinction_log_tail(shared, alpha, t).log_value
+            tag = tagged_log_tail(shared, alpha, t).log_value
+            assert ext == extinction_log_tail(solver_for(spec), alpha,
+                                              t).log_value
+            assert tag == tagged_log_tail(solver_for(spec), alpha,
+                                          t).log_value
+    calls = _counting_tanh_sinh(monkeypatch)
+    s = solver_for(M.make_uniform(2))
+    extinction_log_tail(s, -1.0, 40.0, t0=5.0)
+    tagged_log_tail(s, -1.0, 40.0, t0=5.0)
+    tagged_log_tail(s, -1.0, 40.0, t0=6.0)
+    assert len(calls) == 2
+    fresh = tagged_log_tail(solver_for(M.make_uniform(2)), -1.0, 40.0, t0=6.0)
+    assert tagged_log_tail(s, -1.0, 40.0, t0=6.0).log_value == fresh.log_value

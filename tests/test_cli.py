@@ -1,10 +1,13 @@
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from fragtail.cli import dumps17, main
+import fragtail.cli as cli
+from fragtail.cli import _fmt, dumps17, main
 
 
 @pytest.fixture
@@ -91,6 +94,100 @@ def test_simulate_replay_byte_identical(tmp_path, uniform2):
     header = out1.read_text().splitlines()[1]
     assert header.split(",")[:3] == ["run_id", "extinction_est",
                                      "trunc_error_bound"]
+
+
+def _rowwise_simulate_rows(ens, checkpoints, tags):
+    """The simulate table written row by row through ``csv.writer``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    cols = ["run_id", "extinction_est", "trunc_error_bound", "truncated",
+            "first_event"]
+    for t in checkpoints:
+        cols += [f"F1_t{t:g}", f"S1_t{t:g}", f"S2_t{t:g}"]
+        cols += [f"tag{k + 1}_t{t:g}" for k in range(tags)]
+    if tags == 2:
+        cols.append("t_sep")
+    for k in range(tags):
+        cols += [f"tag{k + 1}_death", f"tag{k + 1}_killed"]
+    writer.writerow(cols)
+    for i in range(ens.n_runs):
+        row = [i, _fmt(float(ens.zeta[i])),
+               _fmt(float(ens.trunc_error_bound[i])),
+               int(ens.truncated[i]), _fmt(float(ens.first_event[i]))]
+        for j in range(len(checkpoints)):
+            row.append(_fmt(float(ens.largest[i, j])))
+            row.append(_fmt(float(ens.sum_masses[i, j])))
+            row.append(_fmt(float(ens.sum_squares[i, j])))
+            for k in range(tags):
+                row.append(_fmt(float(ens.tag_mass[k, i, j])))
+        if tags == 2:
+            row.append(_fmt(float(ens.separation_time[i])))
+        for k in range(tags):
+            row.append(_fmt(float(ens.tag_death[k, i])))
+            row.append(int(ens.tag_killed[k, i]))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _capture(monkeypatch, name):
+    """Record what the CLI's ``name`` returns while still running it."""
+    results = []
+    real = getattr(cli, name)
+
+    def capture(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, capture)
+    return results
+
+
+def _table(path):
+    """The file's bytes after the '# {...}' config line, as text."""
+    data = path.read_bytes().decode()
+    assert data.startswith("# ")
+    return data[data.index("\n") + 1:]
+
+
+@pytest.mark.parametrize("extra,checkpoints", [
+    # the uniform-2 pipeline of the benchmark, at fewer runs
+    (["--cutoff", repr(2.0 ** -11), "--checkpoints", "1,2,4,6",
+      "--tags", "2", "--workers", "2"], (1.0, 2.0, 4.0, 6.0)),
+    # every run truncated: tag deaths are written as Infinity
+    (["--max-events", "10", "--tags", "2", "--checkpoints", "1,2",
+      "--workers", "1"], (1.0, 2.0)),
+    (["--cutoff", "0.01", "--workers", "1"], ()),
+])
+def test_simulate_csv_matches_rowwise_writer(tmp_path, monkeypatch, uniform2,
+                                             extra, checkpoints):
+    captured = _capture(monkeypatch, "run_ensemble")
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--measure", uniform2, "--alpha", "-1.0",
+                 "--runs", "300", "--seed", "5", "--out", str(out)]
+                + extra) == 0
+    tags = 2 if "--tags" in extra else 0
+    expected = _rowwise_simulate_rows(captured[0], checkpoints, tags)
+    assert _table(out) == expected
+    if "--max-events" in extra:
+        assert "Infinity" in expected
+
+
+def test_zeta_tag_csv_matches_rowwise_writer(tmp_path, monkeypatch,
+                                             uniform2):
+    # more rows than one formatting block of the writer
+    captured = _capture(monkeypatch, "sample_zeta_tag")
+    out = tmp_path / "tag.csv"
+    assert main(["zeta-tag", "--measure", uniform2, "--alpha", "-1.0",
+                 "--n", "5000", "--seed", "3", "--out", str(out)]) == 0
+    sample = captured[0]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["sample_id", "value", "trunc_bound", "killed"])
+    for i in range(5000):
+        writer.writerow([i, _fmt(float(sample["value"][i])),
+                         _fmt(float(sample["bound"][i])),
+                         int(sample["killed"][i])])
+    assert _table(out) == buf.getvalue()
 
 
 def test_zeta_tag_and_fit_round_trip(tmp_path, capsys, uniform2):

@@ -45,6 +45,22 @@ def test_uniform_two_closed_form():
     assert abs(ev.phi_prime(2.0) - 0.125) < 1e-13
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_uniform_phi_relative_accuracy_against_mpmath(k):
+    # 1 - k! Gamma(x+2)/Gamma(x+k+1) to full relative precision, also where
+    # phi ~ x is tiny and a 1 - exp(...) form cancels
+    mp = pytest.importorskip("mpmath")
+    ev = PhiEvaluator(M.make_uniform(k))
+    xs = np.geomspace(1e-12, 1e4, 60)
+    vals = ev.phi(xs)
+    with mp.workdps(40):
+        for x, v in zip(xs.tolist(), vals.tolist()):
+            xm = mp.mpf(x)
+            ref = 1 - mp.factorial(k) * mp.gamma(xm + 2) / mp.gamma(xm + k + 1)
+            assert abs((v - ref) / ref) <= 1e-15, (k, x)
+    assert ev.phi(0.0) == 0.0
+
+
 def test_conservative_phi_vanishes_at_zero():
     for spec in (M.make_identical(2), M.make_uniform(2), M.make_beta(2, 3),
                  M.make_stable(1.5), M.make_ford(0.5),

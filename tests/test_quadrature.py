@@ -53,3 +53,14 @@ def test_node_cap_failure_reports_achieved():
 def test_inverted_interval_rejected():
     with pytest.raises(NumericalFailure):
         tanh_sinh(lambda x, a, b: x, 1.0, 0.5)
+
+
+def test_node_tables_built_once_and_read_only():
+    from fragtail.quadrature import _nodes
+    for level in (0, 3):
+        tables = _nodes(level)
+        assert _nodes(level) is tables
+        for arr in tables:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
