@@ -14,11 +14,10 @@ tagged mass equals the expected sum of squared fragment masses.
 
 import math
 
-import numpy as np
-
 from fragtail import (CascadeConfig, PhiEvaluator, ks_two_sample,
-                      make_identical, make_uniform, paired_mean_diff,
-                      run_ensemble, sample_zeta_tag)
+                      make_identical, make_uniform, run_ensemble,
+                      sample_zeta_tag)
+from fragtail.acceptance import two_tag_identities
 from fragtail.simulate import _generator
 
 for spec, label in [(make_identical(2), "identical-2"),
@@ -45,16 +44,10 @@ print(f"two-sample KS distance {ks.statistic:.4f} "
 
 print()
 print("two-tag identities on common runs (paired z-scores, |z| <= 4 expected)")
-cps = (1.0, 2.0, 4.0)
-cfg2 = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -11, checkpoints=cps,
-                     seed=44, tags=2, record_largest=False)
-ens2 = run_ensemble(spec, cfg2, 40000)
-for j, t in enumerate(cps):
-    tag_vs_s2 = paired_mean_diff(ens2.tag_mass[0][:, j],
-                                 ens2.sum_squares[:, j])
-    sep_vs_tag = paired_mean_diff((ens2.separation_time > t).astype(float),
-                                  ens2.tag_mass[0][:, j])
-    print(f"t = {t:g}:  E[tag mass] - E[sum F_i^2] -> "
-          f"z = {tag_vs_s2.mean / tag_vs_s2.stderr:+.2f};   "
+suites = two_tag_identities(spec, -1.0, 2.0 ** -11, (1.0, 2.0, 4.0), 40000,
+                            seed=44)
+for tag_vs_s2, sep_vs_tag in zip(suites["tagmass"], suites["separation"]):
+    print(f"t = {tag_vs_s2['t']:g}:  E[tag mass] - E[sum F_i^2] -> "
+          f"z = {tag_vs_s2['z']:+.2f};   "
           f"P(T_sep > t) - E[tag mass] -> "
-          f"z = {sep_vs_tag.mean / sep_vs_tag.stderr:+.2f}")
+          f"z = {sep_vs_tag['z']:+.2f}")

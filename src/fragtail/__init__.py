@@ -8,18 +8,19 @@ laplace     the Laplace exponent phi of the tagged-fragment subordinator
 inversion   psi, the inverse of x -> x/phi(x)
 asymptotics tail formulas, the expansion engine, closed family shapes
 simulate    event-exact cascade Monte Carlo with tagged lineages
-stats       survival curves, shape fits, identity tests
-acceptance  the end-to-end verification suite (also `fragtail verify`)
+stats       survival curves, shape fits, paired and two-sample tests
+acceptance  the exact-in-law identity suites and the end-to-end
+            verification suite (also `fragtail identity` and `verify`)
 """
 
 from .errors import (ConfigError, DomainError, FragtailError,
                      InsufficientWindow, NumericalFailure, UncoveredRegion,
                      UnsupportedExpansion, UnsupportedSampling)
-from .measures import (DislocationSpec, FragmentVector, from_config,
+from .measures import (DislocationSpec, from_config,
                        integrability_diagnostic, intrinsic_alpha,
                        load_measure, make_atomic, make_beta,
                        make_beta_splitting, make_ford, make_identical,
-                       make_stable, make_uniform, sample_split, total_mass)
+                       make_stable, make_uniform, total_mass)
 from .laplace import (BetaGapIntegral, GammaQuotient, PhiEvaluator,
                       beta_gap_integral, gamma_quotient, gammaln_diff)
 from .inversion import PsiSolver
@@ -29,10 +30,8 @@ from .asymptotics import (AlphaIndex, ExpansionSpec, TailShape,
                           family_tail_shape, log_tail_grid, phi_expansion,
                           tagged_log_tail, tail_ratio,
                           tail_shape_from_expansion)
-from .simulate import (CascadeConfig, CascadeRun, EnsembleResult, TagRecord,
-                       TwoTagRecord, mix_seed, reference_cascade,
-                       run_cascade, run_ensemble, run_two_tags,
-                       sample_zeta_tag, simulate_zeta_tag)
+from .simulate import (CascadeConfig, EnsembleResult, mix_seed,
+                       reference_cascade, run_ensemble, sample_zeta_tag)
 from .stats import (KSResult, MomentEstimate, ShapeFit, SurvivalCurve,
                     ks_two_sample, moment_estimate, paired_mean_diff,
                     shape_fit, survival_curve, synthetic_tail_samples)

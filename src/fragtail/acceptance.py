@@ -5,7 +5,9 @@ checks (1-6), exact-in-law Monte Carlo identities (7-10), and
 bounded-residual shape fits at desk scale (11-13).  Each criterion pins its
 tolerance here; nothing is deferred to later calibration.  ``run_all``
 executes them in order and returns one result per criterion;
-``fragtail verify`` prints them as a table.
+``fragtail verify`` prints them as a table.  The identity suites behind
+criteria 9 and 10, ``two_tag_identities`` and ``restart_ks``, also serve
+``fragtail identity``.
 
 The statistical criteria use fixed seeds, so a verify run is reproducible
 bit for bit.  ``fast=True`` cuts the Monte Carlo sizes for a quick smoke
@@ -25,12 +27,12 @@ import numpy as np
 from . import measures as M
 from .asymptotics import (TailShape, brownian_excursion_max_tail,
                           extinction_log_tail, family_tail_shape,
-                          log_tail_grid, phi_expansion, tagged_log_tail,
-                          tail_ratio)
+                          log_tail_grid, tagged_log_tail, tail_ratio)
 from .inversion import PsiSolver
 from .laplace import PhiEvaluator, beta_gap_integral, gamma_quotient
 from .measures import intrinsic_alpha
-from .simulate import CascadeConfig, run_ensemble, sample_zeta_tag, _generator
+from .simulate import (CascadeConfig, default_workers, run_ensemble,
+                       sample_zeta_tag, _generator)
 from .stats import (ks_two_sample, paired_mean_diff, shape_fit,
                     survival_curve, synthetic_tail_samples)
 
@@ -42,15 +44,6 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-
-
-def _workers(workers):
-    if workers is not None:
-        return workers
-    env = os.environ.get("FRAGTAIL_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return min(2, os.cpu_count() or 1)
 
 
 def _registry_specs():
@@ -221,55 +214,87 @@ def criterion_8(ctx):
 
 # --- 9 ----------------------------------------------------------------------
 
+def two_tag_identities(spec, alpha, cutoff, checkpoints, runs, seed,
+                       workers=None):
+    """Paired z-scores of the three exact-in-law two-tag identities at each
+    checkpoint t, on one ensemble of cascades carrying two tags:
+
+    tagmass     E[tag-1 mass] = E[sum of squared masses]
+    separation  P(T_sep > t) = E[tag-1 mass]
+    joint       E[tag-1 mass * tag-2 mass] = E[(sum of squared masses)**2]
+
+    Returns ``{suite: [{"t", "mean_diff", "stderr", "z"}, ...]}`` with one
+    row per checkpoint.
+    """
+    cfg = CascadeConfig(alpha=alpha, cutoff=cutoff, checkpoints=checkpoints,
+                        seed=seed, tags=2, record_largest=False)
+    ens = run_ensemble(spec, cfg, runs, workers=workers)
+    suites = {"tagmass": [], "separation": [], "joint": []}
+    for j, t in enumerate(cfg.checkpoints):
+        tag1 = ens.tag_mass[0][:, j]
+        s2 = ens.sum_squares[:, j]
+        pairs = {"tagmass": (tag1, s2),
+                 "separation": ((ens.separation_time > t).astype(float),
+                                tag1),
+                 "joint": (tag1 * ens.tag_mass[1][:, j], s2 ** 2)}
+        for suite, (x, y) in pairs.items():
+            est = paired_mean_diff(x, y)
+            suites[suite].append({"t": t, "mean_diff": est.mean,
+                                  "stderr": est.stderr,
+                                  "z": est.mean / est.stderr})
+    return suites
+
+
 def criterion_9(ctx):
     """Exact-in-law identities on common runs at checkpoints 1, 2, 4, 6."""
     n = 4000 if ctx.fast else 100000
-    spec = M.make_uniform(2)
-    cps = (1.0, 2.0, 4.0, 6.0)
     # identities (a) and (c) hold exactly in the truncated system at any
     # cutoff; only (b) picks up a bias of order cutoff, far below 4 stderr
-    cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -11, checkpoints=cps,
-                        seed=900, tags=2, record_largest=False)
-    ens = run_ensemble(spec, cfg, n, workers=ctx.workers)
-    detail = []
-    ok = True
-    for j, t in enumerate(cps):
-        a = paired_mean_diff(ens.tag_mass[0][:, j], ens.sum_squares[:, j])
-        b = paired_mean_diff((ens.separation_time > t).astype(float),
-                             ens.tag_mass[0][:, j])
-        c = paired_mean_diff(ens.tag_mass[0][:, j] * ens.tag_mass[1][:, j],
-                             ens.sum_squares[:, j] ** 2)
-        zs = [est.mean / est.stderr for est in (a, b, c)]
-        ok &= all(abs(z) <= 4.0 for z in zs)
-        detail.append(f"t={t:g}: {zs[0]:+.2f}/{zs[1]:+.2f}/{zs[2]:+.2f} se")
+    suites = two_tag_identities(M.make_uniform(2), -1.0, 2.0 ** -11,
+                                (1.0, 2.0, 4.0, 6.0), n, 900, ctx.workers)
+    ok = all(abs(r["z"]) <= 4.0 for rows in suites.values() for r in rows)
+    detail = [f"t={a['t']:g}: {a['z']:+.2f}/{b['z']:+.2f}/{c['z']:+.2f} se"
+              for a, b, c in zip(suites["tagmass"], suites["separation"],
+                                 suites["joint"])]
     return ok, "tag-vs-S2 / separation / joint z-scores: " + "; ".join(detail)
 
 
 # --- 10 ---------------------------------------------------------------------
 
+def restart_ks(spec, alpha, cutoff, runs, seed, pilot_runs, workers=None):
+    """Distributional restart recursion at t*, the 0.7 quantile of zeta over
+    a pilot ensemble: (zeta - t*)+ has the law of max_i m_i**|alpha| zeta_i
+    over the fragments of masses m_i alive at t*, each restarted as an
+    independent cascade.  The ensembles use seeds seed .. seed + 3.
+
+    Returns ``(t_star, KSResult)`` of the two-sample test of the two sides.
+    """
+    base = dict(alpha=alpha, cutoff=cutoff, record_sums=False,
+                record_largest=False)
+    pilot = run_ensemble(spec, CascadeConfig(seed=seed, **base), pilot_runs,
+                         workers=workers)
+    t_star = float(np.quantile(pilot.zeta, 0.7))
+    ens_a = run_ensemble(spec, CascadeConfig(seed=seed + 1, **base), runs,
+                         workers=workers)
+    ens_b = run_ensemble(spec, CascadeConfig(seed=seed + 2,
+                                             snapshot_time=t_star, **base),
+                         runs, workers=workers)
+    pool = run_ensemble(spec, CascadeConfig(seed=seed + 3, **base),
+                        max(len(ens_b.snapshot_mass), 1000), workers=workers)
+    vals = (ens_b.snapshot_mass ** -alpha
+            * pool.zeta[:len(ens_b.snapshot_mass)])
+    side_b = np.zeros(runs)
+    np.maximum.at(side_b, ens_b.snapshot_run, vals)
+    return t_star, ks_two_sample(np.maximum(ens_a.zeta - t_star, 0.0), side_b)
+
+
 def criterion_10(ctx):
     """Distributional recursion: (zeta - t)+ equals the best rescaled
     restart over the fragments alive at t."""
     n = 2000 if ctx.fast else 10000
-    spec = M.make_uniform(2)
-    base = dict(alpha=-1.0, cutoff=2.0 ** -10, record_sums=False,
-                record_largest=False)
-    pilot = run_ensemble(spec, CascadeConfig(seed=1000, **base),
-                         max(n, 20000) if not ctx.fast else n,
-                         workers=ctx.workers)
-    t_star = float(np.quantile(pilot.zeta, 0.7))
-    ens_a = run_ensemble(spec, CascadeConfig(seed=1001, **base), n,
-                         workers=ctx.workers)
-    side_a = np.maximum(ens_a.zeta - t_star, 0.0)
-    ens_b = run_ensemble(spec, CascadeConfig(seed=1002, snapshot_time=t_star,
-                                             **base), n, workers=ctx.workers)
-    pool = run_ensemble(spec, CascadeConfig(seed=1003, **base),
-                        max(len(ens_b.snapshot_mass), 1000),
-                        workers=ctx.workers)
-    vals = ens_b.snapshot_mass * pool.zeta[:len(ens_b.snapshot_mass)]
-    side_b = np.zeros(n)
-    np.maximum.at(side_b, ens_b.snapshot_run, vals)
-    ks = ks_two_sample(side_a, side_b)
+    pilot_runs = n if ctx.fast else max(n, 20000)
+    t_star, ks = restart_ks(M.make_uniform(2), -1.0, 2.0 ** -10, n, 1000,
+                            pilot_runs, ctx.workers)
     return (ks.pass_1pct,
             f"t*={t_star:.3f} (survival approx 0.3); KS {ks.statistic:.4f} "
             f"vs {ks.threshold_1pct:.4f}")
@@ -404,7 +429,9 @@ _CRITERIA = [
 class _Context:
     def __init__(self, fast, workers):
         self.fast = fast
-        self.workers = _workers(workers)
+        if workers is None:
+            workers = default_workers(unset=min(2, os.cpu_count() or 1))
+        self.workers = workers
         self.cache = {}
 
 

@@ -17,10 +17,11 @@ import sys
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, FragtailError,
-                     InsufficientWindow, NumericalFailure, UncoveredRegion,
-                     UnsupportedExpansion, UnsupportedSampling)
-from .measures import from_config, intrinsic_alpha, load_measure
+from . import acceptance
+from .errors import (ConfigError, DomainError, InsufficientWindow,
+                     NumericalFailure, UncoveredRegion, UnsupportedExpansion,
+                     UnsupportedSampling)
+from .measures import intrinsic_alpha, load_measure
 from .laplace import PhiEvaluator
 from .inversion import PsiSolver
 from .asymptotics import (TailShape, default_t0, extinction_log_tail,
@@ -78,11 +79,6 @@ def _emit(obj, out_path=None):
         print(text)
 
 
-def _measure(args):
-    spec = load_measure(args.measure)
-    return spec
-
-
 def _alpha_for(spec, args):
     builtin = intrinsic_alpha(spec)
     alpha = getattr(args, "alpha", None)
@@ -106,7 +102,7 @@ def _shape_json(shape):
 # -- verbs -------------------------------------------------------------------
 
 def cmd_phi(args):
-    spec = _measure(args)
+    spec = load_measure(args.measure)
     ev = PhiEvaluator(spec, method=args.method)
     value = ev.phi(args.x)
     _emit({"value": value, "method": ev.method,
@@ -117,7 +113,7 @@ def cmd_phi(args):
 
 
 def cmd_psi(args):
-    spec = _measure(args)
+    spec = load_measure(args.measure)
     solver = PsiSolver(PhiEvaluator(spec))
     y = solver.psi(args.x)
     residual = abs(y / solver.evaluator.phi(y) - args.x) / args.x
@@ -128,7 +124,7 @@ def cmd_psi(args):
 
 
 def cmd_hcheck(args):
-    spec = _measure(args)
+    spec = load_measure(args.measure)
     report = PhiEvaluator(spec).check_hypothesis(x_max=args.xmax,
                                                  n_grid=args.ngrid)
     _emit({"tail_sup": report.tail_sup, "pass": report.passed,
@@ -145,7 +141,7 @@ _TAIL_MODES = {"theorem1": "exact", "exact": "exact",
 
 
 def cmd_tail(args):
-    spec = _measure(args)
+    spec = load_measure(args.measure)
     alpha = _alpha_for(spec, args)
     mode = _TAIL_MODES[args.mode]
     shape = None
@@ -174,7 +170,7 @@ def cmd_tail(args):
 
 
 def cmd_shape(args):
-    spec = _measure(args)
+    spec = load_measure(args.measure)
     alpha = _alpha_for(spec, args)
     shape = family_tail_shape(spec, alpha)
     _emit({"shape": _shape_json(shape),
@@ -204,7 +200,7 @@ def _write_csv(fh, header, columns):
 
 
 def cmd_simulate(args):
-    spec = _measure(args)
+    spec = load_measure(args.measure)
     checkpoints = tuple(float(v) for v in args.checkpoints.split(",")) \
         if args.checkpoints else ()
     cfg = CascadeConfig(alpha=args.alpha, cutoff=args.cutoff,
@@ -245,7 +241,7 @@ def cmd_simulate(args):
 
 
 def cmd_zeta_tag(args):
-    spec = _measure(args)
+    spec = load_measure(args.measure)
     out = sample_zeta_tag(spec, args.alpha, args.tol, args.n,
                           _generator(args.seed))
     header = {"measure": args.measure, "alpha": args.alpha, "n": args.n,
@@ -308,61 +304,23 @@ _IDENTITY_ALIASES = {"eq10": "separation", "separation": "separation",
 
 
 def cmd_identity(args):
-    from . import acceptance as acc
-    spec = _measure(args)
+    spec = load_measure(args.measure)
     suite = _IDENTITY_ALIASES[args.suite]
     checkpoints = tuple(float(v) for v in args.checkpoints.split(",")) \
         if args.checkpoints else (1.0, 2.0, 4.0, 6.0)
-    if suite in ("separation", "tagmass", "joint"):
-        cfg = CascadeConfig(alpha=args.alpha, cutoff=args.cutoff,
-                            checkpoints=checkpoints, seed=args.seed, tags=2,
-                            record_largest=False)
-        ens = run_ensemble(spec, cfg, args.runs, workers=args.workers)
-        from .stats import paired_mean_diff
-        rows = []
-        ok = True
-        for j, t in enumerate(checkpoints):
-            if suite == "tagmass":
-                est = paired_mean_diff(ens.tag_mass[0][:, j],
-                                       ens.sum_squares[:, j])
-            elif suite == "separation":
-                est = paired_mean_diff(
-                    (ens.separation_time > t).astype(float),
-                    ens.tag_mass[0][:, j])
-            else:
-                est = paired_mean_diff(
-                    ens.tag_mass[0][:, j] * ens.tag_mass[1][:, j],
-                    ens.sum_squares[:, j] ** 2)
-            z = est.mean / est.stderr
-            ok &= abs(z) <= 4.0
-            rows.append({"t": t, "mean_diff": est.mean,
-                         "stderr": est.stderr, "z": z})
-        out = {"suite": args.suite, "pass": ok, "rows": rows}
-    else:  # restart recursion via two-sample KS
-        from .stats import ks_two_sample
-        base = dict(alpha=args.alpha, cutoff=args.cutoff,
-                    record_sums=False, record_largest=False)
-        pilot = run_ensemble(spec, CascadeConfig(seed=args.seed, **base),
-                             args.runs, workers=args.workers)
-        t_star = float(np.quantile(pilot.zeta, 0.7))
-        ens_a = run_ensemble(spec, CascadeConfig(seed=args.seed + 1, **base),
-                             args.runs, workers=args.workers)
-        ens_b = run_ensemble(spec,
-                             CascadeConfig(seed=args.seed + 2,
-                                           snapshot_time=t_star, **base),
-                             args.runs, workers=args.workers)
-        pool = run_ensemble(spec, CascadeConfig(seed=args.seed + 3, **base),
-                            max(len(ens_b.snapshot_mass), 1000),
-                            workers=args.workers)
-        abs_alpha = -args.alpha
-        vals = (ens_b.snapshot_mass ** abs_alpha
-                * pool.zeta[:len(ens_b.snapshot_mass)])
-        side_b = np.zeros(args.runs)
-        np.maximum.at(side_b, ens_b.snapshot_run, vals)
-        ks = ks_two_sample(np.maximum(ens_a.zeta - t_star, 0.0), side_b)
+    if suite == "restart":
+        t_star, ks = acceptance.restart_ks(spec, args.alpha, args.cutoff,
+                                           args.runs, args.seed, args.runs,
+                                           workers=args.workers)
         out = {"suite": args.suite, "pass": ks.pass_1pct, "t_star": t_star,
                "ks_statistic": ks.statistic,
                "ks_threshold_1pct": ks.threshold_1pct}
+    else:
+        rows = acceptance.two_tag_identities(
+            spec, args.alpha, args.cutoff, checkpoints, args.runs, args.seed,
+            workers=args.workers)[suite]
+        out = {"suite": args.suite,
+               "pass": all(abs(r["z"]) <= 4.0 for r in rows), "rows": rows}
     out["config"] = {"measure": args.measure, "alpha": args.alpha,
                      "runs": args.runs, "cutoff": args.cutoff,
                      "seed": args.seed,
@@ -372,10 +330,10 @@ def cmd_identity(args):
 
 
 def cmd_verify(args):
-    from . import acceptance as acc
     only = set(int(v) for v in args.only.split(",")) if args.only else None
-    results = acc.run_all(fast=args.fast, workers=args.workers, only=only)
-    print(acc.format_table(results))
+    results = acceptance.run_all(fast=args.fast, workers=args.workers,
+                                 only=only)
+    print(acceptance.format_table(results))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -16,14 +16,15 @@ implemented in :func:`beta_gap_integral`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gamma as gamma_fn, gammaln, rgamma
+from scipy.special import digamma, gamma as gamma_fn, gammaln, rgamma, zeta
 
-from .errors import DomainError, NumericalFailure, UnsupportedSampling
-from .measures import ANALYTIC, ATOMIC, BINARY_DENSITY, atom_arrays, split_density
+from .errors import DomainError, UnsupportedSampling
+from .measures import ATOMIC, BINARY_DENSITY, atom_arrays, split_density
 from .quadrature import tanh_sinh, tanh_sinh_01
 
 # ---------------------------------------------------------------------------
@@ -243,10 +244,39 @@ def _dphi_uniform(k, x):
     return e * digamma_diff(x + 2.0, k - 1.0)
 
 
+# below this x, 1 - E[B**(x+1)] - E[(1-B)**(x+1)] cancels too much and
+# _phi_beta sums its Taylor series instead; it lies under the smallest psi
+# value the exact tail route evaluates, so those inputs keep the direct form
+_BETA_SERIES_X = 0.25
+_BETA_SERIES_TERMS = 30
+
+
+@functools.lru_cache(maxsize=None)
+def _lgamma_gap_coeffs(y1, y2):
+    """Taylor coefficients in x, highest power first, of
+    [lnG(y2 + x) - lnG(y2)] - [lnG(y1 + x) - lnG(y1)], y2 > y1 >= 1, from
+    lnG(y + x) - lnG(y) = x digamma(y) + sum_{n>=2} (-x)**n zeta(n, y)/n.
+    With x <= 1/4 and radius y1 >= 1, 30 terms reach 1e-19."""
+    n = np.arange(_BETA_SERIES_TERMS, 1, -1)
+    higher = (-1.0) ** n * (zeta(n, y2) - zeta(n, y1)) / n
+    return np.concatenate([higher, [digamma(y2) - digamma(y1), 0.0]])
+
+
 def _phi_beta(a, b, x):
     eb = np.exp(gammaln(a + b) - gammaln(a) - gammaln_diff(x + 1.0 + a, b))
     ec = np.exp(gammaln(a + b) - gammaln(b) - gammaln_diff(x + 1.0 + b, a))
-    return 1.0 - eb - ec
+    out = np.asarray(1.0 - eb - ec)
+    small = x < _BETA_SERIES_X
+    if small.any():
+        # E[B**(x+1)] = a/(a+b) exp(-gap(1+a, 1+a+b)), likewise for 1 - B;
+        # both terms of the sum below are positive, so nothing cancels
+        xs = x[small]
+        c = a + b + 1.0
+        out[small] = -(a / (a + b) * np.expm1(
+            -np.polyval(_lgamma_gap_coeffs(1.0 + a, c), xs))
+            + b / (a + b) * np.expm1(
+            -np.polyval(_lgamma_gap_coeffs(1.0 + b, c), xs)))
+    return out
 
 
 def _dphi_beta(a, b, x):
@@ -378,7 +408,7 @@ class PhiEvaluator:
                 self._phi_base, self._dphi_base = forms
         self.method = method
         if method == "atomic-sum":
-            _, parts_flat, _, sizes, _ = atom_arrays(spec)
+            _, parts_flat, _, sizes = atom_arrays(spec)
             weights = np.repeat(
                 np.array([w for w, _ in spec.atoms]), sizes)
             self._log_parts = np.log(parts_flat)

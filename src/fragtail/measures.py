@@ -36,26 +36,6 @@ _FINITE_VARIANTS = (ATOMIC, BINARY_DENSITY)
 
 
 @dataclass(frozen=True)
-class FragmentVector:
-    """One split outcome: nonincreasing mass fractions plus the dust share."""
-
-    parts: tuple
-    dust_fraction: float
-
-    def __post_init__(self):
-        parts = tuple(float(p) for p in self.parts)
-        if any(p <= 0.0 or p > 1.0 for p in parts):
-            raise ConfigError(f"fragment parts must lie in (0, 1]: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ConfigError(f"fragment parts must be nonincreasing: {parts}")
-        total = math.fsum(parts) + self.dust_fraction
-        if abs(total - 1.0) > 4.0 * np.finfo(float).eps:
-            raise ConfigError(
-                f"parts + dust must sum to 1, got {total!r}")
-        object.__setattr__(self, "parts", parts)
-
-
-@dataclass(frozen=True)
 class DislocationSpec:
     """Immutable description of a dislocation measure.
 
@@ -353,11 +333,11 @@ def split_icdf(spec, q):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# atom layout
 
 def atom_arrays(spec):
     """Flat atom layout for vectorized work: cumulative normalized weights,
-    flattened parts, atom offsets, atom sizes, per-atom part sums."""
+    flattened parts, atom offsets, atom sizes."""
     weights = np.array([w for w, _ in spec.atoms], dtype=float)
     cum = np.cumsum(weights) / weights.sum()
     cum[-1] = 1.0
@@ -365,30 +345,7 @@ def atom_arrays(spec):
                                  for _, p in spec.atoms])
     sizes = np.array([len(p) for _, p in spec.atoms], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    part_sums = np.array([math.fsum(p) for _, p in spec.atoms], dtype=float)
-    return cum, parts_flat, offsets, sizes, part_sums
-
-
-def sample_split(spec, rng):
-    """Draw one split from the normalized measure.
-
-    Atomic specs pick an atom by inverse transform on the weights;
-    binary-density specs invert the CDF of the larger piece.  Analytic
-    families cannot be sampled.
-    """
-    if spec.variant == ATOMIC:
-        cum, parts_flat, offsets, sizes, _ = atom_arrays(spec)
-        j = int(np.searchsorted(cum, rng.random(), side="right"))
-        j = min(j, len(sizes) - 1)
-        parts = tuple(parts_flat[offsets[j]:offsets[j] + sizes[j]])
-        dust = max(0.0, 1.0 - math.fsum(parts))
-        return FragmentVector(parts=parts, dust_fraction=dust)
-    if spec.variant == BINARY_DENSITY:
-        s1 = float(split_icdf(spec, rng.random()))
-        s1 = min(max(s1, 0.5), 1.0 - 1e-15)
-        return FragmentVector(parts=(s1, 1.0 - s1), dust_fraction=0.0)
-    raise UnsupportedSampling(
-        f"family {spec.family!r} is analytic-only and cannot be sampled")
+    return cum, parts_flat, offsets, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +355,6 @@ def sample_split(spec, rng):
 class IntegrabilityReport:
     finite: bool         # None when the variant gives no answer
     value: float
-
-    def __iter__(self):  # ergonomic unpacking: finite, value = report
-        yield self.finite
-        yield self.value
 
 
 def integrability_diagnostic(spec):

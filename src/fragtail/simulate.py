@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,39 +116,6 @@ class CascadeConfig:
         object.__setattr__(self, "checkpoints", cps)
 
 
-@dataclass(frozen=True)
-class TagRecord:
-    """One tagged lineage: mass at each checkpoint, death time, and whether
-    death came from routing into split dust rather than the cutoff."""
-
-    mass_at: np.ndarray
-    death_time: float
-    killed: bool
-
-
-@dataclass(frozen=True)
-class TwoTagRecord:
-    tag1: TagRecord
-    tag2: TagRecord
-    separation_time: float
-    shared_splits: int
-
-
-@dataclass(frozen=True)
-class CascadeRun:
-    """One simulated trajectory with checkpointed statistics."""
-
-    checkpoints: tuple
-    extinction_est: float
-    trunc_error_bound: float
-    truncated: bool
-    first_event: float
-    largest: np.ndarray       # F1 at each checkpoint
-    sum_masses: np.ndarray    # S1
-    sum_squares: np.ndarray   # S2
-    tags: tuple = ()
-
-
 @dataclass
 class EnsembleResult:
     """Column-wise results of many independent runs."""
@@ -207,7 +174,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         raise UnsupportedSampling(
             f"family {spec.family!r} cannot be simulated (infinite rate)")
     if not binary:
-        cum_w, parts_flat, offsets, sizes, _ = atom_arrays(spec)
+        cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
         single_atom = len(sizes) == 1
         atom_parts = parts_flat[:sizes[0]] if single_atom else None
 
@@ -425,55 +392,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     return out
 
 
-def run_cascade(spec, cfg, rng=None):
-    """Simulate one trajectory; rng defaults to PCG64(cfg.seed)."""
-    if rng is None:
-        rng = _generator(cfg.seed)
-    raw = _simulate_chunk(spec, cfg, 1, rng)
-    tags = tuple(
-        TagRecord(mass_at=raw["tag_mass"][k, 0].copy(),
-                  death_time=float(raw["tag_death"][k, 0]),
-                  killed=bool(raw["tag_killed"][k, 0]))
-        for k in range(cfg.tags))
-    return CascadeRun(
-        checkpoints=cfg.checkpoints,
-        extinction_est=float(raw["zeta"][0]),
-        trunc_error_bound=float(raw["trunc_error_bound"][0]),
-        truncated=bool(raw["truncated"][0]),
-        first_event=float(raw["first_event"][0]),
-        largest=raw["largest"][0] if raw["largest"] is not None else None,
-        sum_masses=raw["sum_masses"][0] if raw["sum_masses"] is not None else None,
-        sum_squares=raw["sum_squares"][0] if raw["sum_squares"] is not None else None,
-        tags=tags)
-
-
-def run_two_tags(spec, cfg, rng=None):
-    """Simulate one trajectory carrying two independently routed tags."""
-    cfg = replace(cfg, tags=2)
-    if rng is None:
-        rng = _generator(cfg.seed)
-    raw = _simulate_chunk(spec, cfg, 1, rng)
-    records = [
-        TagRecord(mass_at=raw["tag_mass"][k, 0].copy(),
-                  death_time=float(raw["tag_death"][k, 0]),
-                  killed=bool(raw["tag_killed"][k, 0]))
-        for k in (0, 1)]
-    two = TwoTagRecord(tag1=records[0], tag2=records[1],
-                       separation_time=float(raw["separation_time"][0]),
-                       shared_splits=int(raw["shared_splits"][0]))
-    run = CascadeRun(
-        checkpoints=cfg.checkpoints,
-        extinction_est=float(raw["zeta"][0]),
-        trunc_error_bound=float(raw["trunc_error_bound"][0]),
-        truncated=bool(raw["truncated"][0]),
-        first_event=float(raw["first_event"][0]),
-        largest=raw["largest"][0] if raw["largest"] is not None else None,
-        sum_masses=raw["sum_masses"][0] if raw["sum_masses"] is not None else None,
-        sum_squares=raw["sum_squares"][0] if raw["sum_squares"] is not None else None,
-        tags=tuple(records))
-    return run, two
-
-
 def _chunk_sizes(n_runs):
     sizes = [CHUNK_RUNS] * (n_runs // CHUNK_RUNS)
     if n_runs % CHUNK_RUNS:
@@ -487,11 +405,17 @@ def _run_chunk_job(args):
     return _simulate_chunk(spec, cfg, n, rng)
 
 
-def default_workers():
+def default_workers(unset=1):
+    """Worker count from the FRAGTAIL_THREADS environment variable, or
+    ``unset`` when it is unset or empty; a non-integer is a ConfigError."""
+    env = os.environ.get("FRAGTAIL_THREADS")
+    if not env:
+        return unset
     try:
-        return max(1, int(os.environ.get("FRAGTAIL_THREADS", "1")))
+        return max(1, int(env))
     except ValueError:
-        return 1
+        raise ConfigError(
+            f"FRAGTAIL_THREADS must be an integer, got {env!r}") from None
 
 
 def run_ensemble(spec, cfg, n_runs, workers=None):
@@ -575,7 +499,7 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
     inv_phi = 1.0 / PhiEvaluator(spec).phi(abs_alpha)
     binary = spec.variant == BINARY_DENSITY
     if not binary:
-        cum_w, parts_flat, offsets, sizes, part_sums = atom_arrays(spec)
+        cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
         parts_cum = np.cumsum(parts_flat)
 
     m = np.ones(n)
@@ -618,14 +542,6 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
     raise NumericalFailure("tagged lineage failed to reach the stop rule")
 
 
-def simulate_zeta_tag(spec, alpha, tol, rng):
-    """One tagged-lineage extinction sample with its truncation bound."""
-    out = sample_zeta_tag(spec, alpha, tol, 1, rng)
-    return {"value": float(out["value"][0]),
-            "truncated_mean_bound": float(out["bound"][0]),
-            "killed": bool(out["killed"][0])}
-
-
 # ---------------------------------------------------------------------------
 # reference engine: per-node random streams, pathwise cutoff coupling
 
@@ -652,7 +568,7 @@ def reference_cascade(spec, alpha, cutoff, seed, max_nodes=2 ** 22):
     rate_total = total_mass(spec)
     binary = spec.variant == BINARY_DENSITY
     if not binary:
-        cum_w, parts_flat, offsets, sizes, _ = atom_arrays(spec)
+        cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
     records = []
     stack = [(1.0, 0.0, mix_seed(seed, 0), 0)]
     while stack:

@@ -137,16 +137,6 @@ def ks_two_sample(a, b):
                     pass_1pct=stat < threshold)
 
 
-def ks_one_sample(samples, cdf):
-    """One-sample Kolmogorov-Smirnov distance against a callable CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = len(x)
-    f = np.asarray(cdf(x), dtype=float)
-    upper = np.abs(np.arange(1, n + 1) / n - f)
-    lower = np.abs(f - np.arange(0, n) / n)
-    return float(max(upper.max(), lower.max()))
-
-
 def synthetic_tail_samples(shape, t_start, n, rng):
     """Draw samples whose survival is exactly shape(t)/shape(t_start) for
     t >= t_start (and 1 below), by bisecting the log survival.

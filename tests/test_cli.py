@@ -224,3 +224,28 @@ def test_exit_codes(capsys, uniform2, stable2):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UnsupportedSampling"
     assert main(["phi", "--measure", "/nonexistent.json", "--x", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", "-1", "--runs", "10", "--cutoff", "0.1"],
+    ["identity", "--suite", "s2", "--alpha", "-1", "--runs", "1000"],
+    ["verify", "--only", "9"],
+], ids=lambda argv: argv[0])
+def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
+                                                  uniform2, argv):
+    monkeypatch.setenv("FRAGTAIL_THREADS", "two")
+    if argv[0] != "verify":
+        argv = argv + ["--measure", uniform2]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_identity_restart_suite_off_unit_alpha(capsys, uniform2):
+    # at alpha = -0.5 the restarted masses enter as m**|alpha|: left at
+    # power 1, the KS distance reads 0.14-0.16 against this 1% gate of 0.073
+    code, out = run_json(capsys, [
+        "identity", "--suite", "restart", "--measure", uniform2,
+        "--alpha", "-0.5", "--runs", "1000", "--cutoff", repr(2.0 ** -12),
+        "--seed", "2", "--workers", "1"])
+    assert code == 0 and out["pass"] is True
+    assert out["ks_statistic"] < out["ks_threshold_1pct"]

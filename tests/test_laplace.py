@@ -61,6 +61,24 @@ def test_uniform_phi_relative_accuracy_against_mpmath(k):
     assert ev.phi(0.0) == 0.0
 
 
+@pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.8, 0.9), (1.0, 1.0)])
+def test_beta_phi_relative_accuracy_against_mpmath(a, b):
+    # 1 - E[B**(x+1)] - E[(1-B)**(x+1)] to full relative precision, also
+    # where phi ~ x is tiny and the two expectations cancel against 1
+    mp = pytest.importorskip("mpmath")
+    ev = PhiEvaluator(M.make_beta(a, b))
+    xs = np.geomspace(1e-12, 1e4, 60)
+    vals = ev.phi(xs)
+    with mp.workdps(40):
+        norm = mp.beta(a, b)
+        for x, v in zip(xs.tolist(), vals.tolist()):
+            xm = mp.mpf(x)
+            ref = (1 - mp.beta(a + xm + 1, b) / norm
+                   - mp.beta(a, b + xm + 1) / norm)
+            assert abs((v - ref) / ref) <= 1e-14, (a, b, x)
+    assert ev.phi(0.0) == 0.0
+
+
 def test_conservative_phi_vanishes_at_zero():
     for spec in (M.make_identical(2), M.make_uniform(2), M.make_beta(2, 3),
                  M.make_stable(1.5), M.make_ford(0.5),

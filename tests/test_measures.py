@@ -7,9 +7,9 @@ from scipy.stats import beta as beta_dist
 
 from fragtail import measures as M
 from fragtail.errors import ConfigError, UnsupportedSampling
-from fragtail.measures import (FragmentVector, from_config,
-                               integrability_diagnostic, sample_split,
+from fragtail.measures import (from_config, integrability_diagnostic,
                                split_cdf, split_icdf, total_mass)
+from fragtail.simulate import CascadeConfig, run_ensemble
 
 
 def rng(seed=0):
@@ -17,19 +17,18 @@ def rng(seed=0):
 
 
 def test_identical_two_always_halves():
-    spec = M.make_identical(2)
-    g = rng(1)
-    for _ in range(50):
-        fv = sample_split(spec, g)
-        assert fv.parts == (0.5, 0.5)
-        assert fv.dust_fraction == 0.0
+    # cutoff 0.3 keeps the two halves of the root and drops the quarters,
+    # so every fragment alive at a checkpoint has mass 1 or 1/2
+    cfg = CascadeConfig(alpha=-1.0, cutoff=0.3,
+                        checkpoints=tuple(np.linspace(0.0, 6.0, 25)), seed=1)
+    ens = run_ensemble(M.make_identical(2), cfg, 50)
+    assert set(ens.largest.ravel()) <= {0.0, 0.5, 1.0}
+    assert (ens.largest == 0.5).any()
 
 
 def test_uniform_two_largest_piece_mean():
     # E[max(U, 1-U)] = 3/4 by direct integration
-    spec = M.make_uniform(2)
-    g = rng(2)
-    draws = np.array([sample_split(spec, g).parts[0] for _ in range(100000)])
+    draws = np.asarray(split_icdf(M.make_uniform(2), rng(2).random(100000)))
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - 0.75) <= 4.0 * se
 
@@ -61,39 +60,37 @@ def test_total_mass():
     with pytest.raises(UnsupportedSampling):
         total_mass(M.make_stable(1.5))
     with pytest.raises(UnsupportedSampling):
-        sample_split(M.make_ford(0.5), rng(3))
+        split_icdf(M.make_ford(0.5), 0.5)
 
 
 def test_rescaling_leaves_split_law_unchanged():
     a = M.make_beta(2.0, 3.0)
     b = M.make_beta(2.0, 3.0, scale=5.0)
-    ga, gb = rng(7), rng(7)
-    for _ in range(200):
-        assert sample_split(a, ga).parts == sample_split(b, gb).parts
+    q = rng(7).random(200)
+    assert np.array_equal(split_icdf(a, q), split_icdf(b, q))
+    # same uniforms, same splits: only the clock runs five times faster
+    cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -6, seed=7)
+    slow, fast = run_ensemble(a, cfg, 200), run_ensemble(b, cfg, 200)
+    assert np.allclose(fast.zeta * 5.0, slow.zeta, rtol=1e-12, atol=0.0)
 
 
-def test_fragment_vector_invariants_random_specs():
+def test_random_atomic_split_invariants():
+    # random atomic measures with a dust share: the engine only moves mass
+    # down the tree or into dust, never creates it
     g = rng(11)
-    for _ in range(100):
+    cps = (0.25, 0.5, 1.0, 2.0, 4.0)
+    for _ in range(20):
         k = int(g.integers(2, 5))
         raw = np.sort(g.random(k))[::-1]
         raw = raw / raw.sum() * g.uniform(0.5, 1.0)  # allow dust
-        raw = raw[raw > 1e-9]
-        if raw[0] >= 1.0 or len(raw) == 0:
-            continue
-        spec = M.make_atomic([(1.0, tuple(raw))])
-        fv = sample_split(spec, g)
-        parts = np.array(fv.parts)
-        assert np.all(np.diff(parts) <= 0)
-        total = math.fsum(fv.parts) + fv.dust_fraction
-        assert abs(total - 1.0) <= 4 * np.finfo(float).eps
-
-
-def test_fragment_vector_validation():
-    with pytest.raises(ConfigError):
-        FragmentVector(parts=(0.6, 0.3), dust_fraction=0.2)  # sums to 1.1
-    with pytest.raises(ConfigError):
-        FragmentVector(parts=(0.3, 0.6), dust_fraction=0.1)  # ordering
+        spec = M.make_atomic([(1.0, tuple(raw[raw > 1e-9]))])
+        cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -6, checkpoints=cps,
+                            seed=int(g.integers(2 ** 32)))
+        ens = run_ensemble(spec, cfg, 300)
+        assert np.all(np.diff(ens.sum_masses, axis=1) <= 1e-12)
+        assert np.all(ens.sum_masses <= 1.0 + 1e-12)
+        assert np.all(ens.largest <= ens.sum_masses + 1e-12)
+        assert np.all(ens.sum_squares <= ens.largest * ens.sum_masses + 1e-12)
 
 
 @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.8, 0.9), (1.0, 1.0)])
@@ -118,26 +115,24 @@ def test_icdf_round_trip_accuracy():
 
 
 def test_integrability_diagnostic_atomic_exact():
-    finite, value = integrability_diagnostic(M.make_identical(2))
-    assert finite and abs(value - 2.0) < 1e-14
+    report = integrability_diagnostic(M.make_identical(2))
+    assert report.finite and abs(report.value - 2.0) < 1e-14
 
 
 def test_integrability_diagnostic_beta():
-    finite, value = integrability_diagnostic(M.make_beta(2.0, 3.0))
-    assert finite
+    report = integrability_diagnostic(M.make_beta(2.0, 3.0))
+    assert report.finite
     # oracle: E[1/min(B, 1-B)] by direct quadrature of the Beta density
     pdf = beta_dist(2.0, 3.0).pdf
     oracle, _ = integrate.quad(
         lambda u: pdf(u) / min(u, 1.0 - u), 0.0, 1.0, points=[0.5], limit=200)
-    assert abs(value - oracle) / oracle < 1e-6
+    assert abs(report.value - oracle) / oracle < 1e-6
 
-    finite_u, value_u = integrability_diagnostic(M.make_uniform(2))
-    assert finite_u is False and value_u == math.inf
+    uniform = integrability_diagnostic(M.make_uniform(2))
+    assert uniform.finite is False and uniform.value == math.inf
     # min(a, b) = 1 is the critical case: still divergent
-    finite_c, _ = integrability_diagnostic(M.make_beta(1.0, 2.0))
-    assert finite_c is False
-    finite_a, _ = integrability_diagnostic(M.make_stable(1.5))
-    assert finite_a is None
+    assert integrability_diagnostic(M.make_beta(1.0, 2.0)).finite is False
+    assert integrability_diagnostic(M.make_stable(1.5)).finite is None
 
 
 def test_from_config_and_errors():
@@ -165,4 +160,4 @@ def test_uniform_k_three_is_analytic_only():
     spec = M.make_uniform(3)
     assert not spec.is_finite
     with pytest.raises(UnsupportedSampling):
-        sample_split(spec, rng(5))
+        split_icdf(spec, 0.5)

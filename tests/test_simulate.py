@@ -1,16 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fragtail import measures as M
+from fragtail.acceptance import two_tag_identities
 from fragtail.errors import ConfigError, UnsupportedSampling
 from fragtail.laplace import PhiEvaluator
 from fragtail.simulate import (CHUNK_RUNS, CascadeConfig, _generator,
                                extinction_from_records, mix_seed,
-                               reference_cascade, run_cascade, run_ensemble,
-                               run_two_tags, sample_zeta_tag,
-                               simulate_zeta_tag)
+                               reference_cascade, run_ensemble,
+                               sample_zeta_tag)
 from fragtail.stats import ks_two_sample
 
 EX1 = M.make_identical(2)
@@ -64,16 +65,13 @@ def test_analytic_family_cannot_be_simulated():
 def test_deterministic_split_geometry():
     # identical-2 with cutoff 0.3: root splits into two 1/2 fragments, the
     # four 1/4 grandchildren are dust, so exactly 3 events happen and the
-    # sum of squares walks down 1 -> 1/2 -> 1/4 -> 0
+    # sum of squares walks down 1 -> 1/2 -> 1/4 -> 0 in every run
     cfg = CascadeConfig(alpha=-1.0, cutoff=0.3,
                         checkpoints=tuple(np.linspace(0.0, 8.0, 33)), seed=9)
-    for seed in range(20):
-        run = run_cascade(EX1, CascadeConfig(alpha=-1.0, cutoff=0.3,
-                                             checkpoints=cfg.checkpoints,
-                                             seed=seed))
-        assert set(np.round(run.sum_squares, 12)) <= {0.0, 0.25, 0.5, 1.0}
-        assert set(np.round(run.sum_masses, 12)) <= {0.0, 0.5, 1.0}
-        assert run.extinction_est >= run.first_event
+    ens = run_ensemble(EX1, cfg, 20)
+    assert set(np.round(ens.sum_squares, 12).ravel()) <= {0.0, 0.25, 0.5, 1.0}
+    assert set(np.round(ens.sum_masses, 12).ravel()) <= {0.0, 0.5, 1.0}
+    assert np.all(ens.zeta >= ens.first_event)
 
 
 def test_first_event_is_unit_exponential():
@@ -113,7 +111,8 @@ def test_zeta_tag_means():
         out = sample_zeta_tag(spec, -1.0, 1e-4, 30000, _generator(seed))
         se = out["value"].std(ddof=1) / math.sqrt(len(out["value"]))
         assert abs(out["value"].mean() - target) <= 4.0 * se
-        assert out["bound"].max() < 1e-4
+        assert np.all(out["value"] > 0.0)
+        assert 0.0 <= out["bound"].min() and out["bound"].max() < 1e-4
         assert not out["killed"].any()  # conservative: no dust routing
 
 
@@ -127,40 +126,29 @@ def test_zeta_tag_nonconservative():
     assert out["killed"].mean() > 0.9
 
 
-def test_simulate_zeta_tag_single():
-    out = simulate_zeta_tag(EX2, -1.0, 1e-4, _generator(3))
-    assert out["value"] > 0.0
-    assert 0.0 <= out["truncated_mean_bound"] < 1e-4
-
-
-def test_single_run_api():
+def test_two_tag_run_records():
     cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -8,
-                        checkpoints=(0.5, 1.0, 2.0), seed=42)
-    run, two = run_two_tags(EX1, cfg)
-    assert run.extinction_est > 0.0
-    assert two.shared_splits >= 1
-    assert two.separation_time <= run.extinction_est
-    assert two.tag1.death_time <= run.extinction_est + 1e-12
-    assert not two.tag1.killed and not two.tag2.killed
-    assert len(two.tag1.mass_at) == 3
-    solo = run_cascade(EX1, cfg)
-    assert solo.extinction_est > 0.0 and solo.tags == ()
+                        checkpoints=(0.5, 1.0, 2.0), seed=42, tags=2)
+    ens = run_ensemble(EX1, cfg, 200)
+    assert np.all(ens.zeta > 0.0)
+    assert np.all(ens.shared_splits >= 1)
+    sep = np.isfinite(ens.separation_time)
+    assert np.all(ens.separation_time[sep] <= ens.zeta[sep])
+    # tags that never separate rode one fragment into the cutoff together
+    assert np.array_equal(ens.tag_death[0, ~sep], ens.tag_death[1, ~sep])
+    assert np.all(ens.tag_death <= ens.zeta + 1e-12)
+    assert not ens.tag_killed.any()
+    assert ens.tag_mass.shape == (2, 200, 3)
+    solo = run_ensemble(EX1, replace(cfg, tags=0), 200)
+    assert np.all(solo.zeta > 0.0) and solo.tag_mass is None
 
 
 def test_two_tags_identities():
-    cps = (1.0, 2.0, 4.0)
-    cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -11, checkpoints=cps,
-                        seed=31, tags=2, record_largest=False)
-    ens = run_ensemble(EX2, cfg, 30000, workers=2)
-    n = ens.n_runs
-    for j, t in enumerate(cps):
-        d = ens.tag_mass[0][:, j] - ens.sum_squares[:, j]
-        assert abs(d.mean()) <= 4.0 * d.std(ddof=1) / math.sqrt(n)
-        d2 = (ens.separation_time > t).astype(float) - ens.tag_mass[0][:, j]
-        assert abs(d2.mean()) <= 4.0 * d2.std(ddof=1) / math.sqrt(n)
-        d3 = (ens.tag_mass[0][:, j] * ens.tag_mass[1][:, j]
-              - ens.sum_squares[:, j] ** 2)
-        assert abs(d3.mean()) <= 4.0 * d3.std(ddof=1) / math.sqrt(n)
+    suites = two_tag_identities(EX2, -1.0, 2.0 ** -11, (1.0, 2.0, 4.0),
+                                30000, 31, workers=2)
+    for rows in suites.values():
+        assert [r["t"] for r in rows] == [1.0, 2.0, 4.0]
+        assert all(abs(r["z"]) <= 4.0 for r in rows)
 
 
 def test_separation_split_count_geometric():
