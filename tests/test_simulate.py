@@ -104,6 +104,13 @@ def test_max_events_flags_truncation():
     assert np.all(np.isfinite(ens.zeta))
 
 
+def test_simulate_zeta_tag_single():
+    out = sample_zeta_tag(EX2, -1.0, 1e-4, 1, _generator(3))
+    assert out["value"].shape == (1,)
+    assert out["value"][0] > 0.0
+    assert 0.0 <= out["bound"][0] < 1e-4
+
+
 def test_zeta_tag_means():
     # mean tagged extinction = 1/phi(|alpha|): 2 for identical-2, 3 for
     # uniform-2 at alpha = -1
