@@ -28,6 +28,7 @@ from . import measures as M
 from .asymptotics import (TailShape, brownian_excursion_max_tail,
                           extinction_log_tail, family_tail_shape,
                           log_tail_grid, tagged_log_tail, tail_ratio)
+from .errors import ConfigError
 from .inversion import PsiSolver
 from .laplace import PhiEvaluator, beta_gap_integral, gamma_quotient
 from .measures import intrinsic_alpha
@@ -248,8 +249,9 @@ def two_tag_identities(spec, alpha, cutoff, checkpoints, runs, seed,
 def criterion_9(ctx):
     """Exact-in-law identities on common runs at checkpoints 1, 2, 4, 6."""
     n = 4000 if ctx.fast else 100000
-    # identities (a) and (c) hold exactly in the truncated system at any
-    # cutoff; only (b) picks up a bias of order cutoff, far below 4 stderr
+    # all three identities hold exactly in the truncated system at any
+    # cutoff: a split that sends both tags into one sub-cutoff child kills
+    # them together and counts as their separation
     suites = two_tag_identities(M.make_uniform(2), -1.0, 2.0 ** -11,
                                 (1.0, 2.0, 4.0, 6.0), n, 900, ctx.workers)
     ok = all(abs(r["z"]) <= 4.0 for rows in suites.values() for r in rows)
@@ -445,10 +447,15 @@ def run_criterion(cid, ctx=None, fast=False, workers=None):
             return CriterionResult(cid=num, title=title, passed=passed,
                                    detail=detail,
                                    seconds=time.time() - start)
-    raise ValueError(f"no criterion {cid}")
+    raise ConfigError(f"no criterion {cid}")
 
 
 def run_all(fast=False, workers=None, only=None):
+    """Run the criteria in order, or only those numbered in ``only``."""
+    if only:
+        unknown = sorted(set(only) - {num for num, _, _ in _CRITERIA})
+        if unknown:
+            raise ConfigError(f"no criterion {unknown}")
     ctx = _Context(fast, workers)
     results = []
     for num, title, fn in _CRITERIA:

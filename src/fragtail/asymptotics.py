@@ -14,11 +14,18 @@ Both compute the same equivalence class up to a constant factor, which is
 exactly what the cross-validation tests pin down.  All tail values are
 handled in log domain; linear values are reported only above the underflow
 floor.
+
+On the exact route, :func:`log_tail_grid` is the one place the tail
+prefactors are formed; the scalar tails are its one-point case.  Callers
+ask for both tails at one t in turn, so the finished pair is kept in a memo
+keyed by the solver and the exact (|alpha|, t, t0); a stored pair never
+seeds a fresh computation, so a tail is the same with or without it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,7 @@ from .measures import intrinsic_alpha, total_mass
 from .quadrature import tanh_sinh
 
 _LOG_FLOOR = -745.0  # below this exp() underflows to 0
+_DECAY_RTOL = 1e-10  # tanh-sinh stopping tolerance of the decay integral
 
 
 @dataclass(frozen=True)
@@ -430,7 +438,24 @@ def default_t0(solver, alpha):
     return max((x_psi + 1.0) / a_abs, x_psi / a_abs + 1.0)
 
 
-def decay_integral(solver, alpha, lo, hi, rel_tol=1e-10):
+def _y_decay_integral(evaluator, y_lo, y_hi):
+    """integral of (1 - y phi'(y)/phi(y)) dy over [y_lo, y_hi].
+
+    This is |alpha| times the decay integral between the points whose psi
+    values are y_lo and y_hi (see :func:`decay_integral`).  The integrand is
+    smooth and lies in (0, 1).
+    """
+    if y_hi == y_lo:
+        return 0.0
+
+    def integrand(y, _ya, _by):
+        return 1.0 - y * evaluator.phi_prime(y) / evaluator.phi(y)
+
+    value, _, _ = tanh_sinh(integrand, y_lo, y_hi, rel_tol=_DECAY_RTOL)
+    return value
+
+
+def decay_integral(solver, alpha, lo, hi):
     """integral of psi(|alpha| r) / (|alpha| r) dr over [lo, hi].
 
     Substituting y = psi(|alpha| r), so that |alpha| r = y/phi(y) and
@@ -439,8 +464,7 @@ def decay_integral(solver, alpha, lo, hi, rel_tol=1e-10):
         (1/|alpha|) * integral of (1 - y phi'(y)/phi(y)) dy
                       over [psi(|alpha| lo), psi(|alpha| hi)],
 
-    which needs psi at the two ends only.  The new integrand is smooth and
-    lies in (0, 1); ``rel_tol`` is the tanh-sinh stopping tolerance.
+    which needs psi at the two ends only.
     """
     a_abs = as_alpha(alpha).abs
     if hi < lo:
@@ -448,15 +472,7 @@ def decay_integral(solver, alpha, lo, hi, rel_tol=1e-10):
     if hi == lo:
         return 0.0
     y_lo, y_hi = solver.psi(a_abs * lo), solver.psi(a_abs * hi)
-    if y_hi == y_lo:
-        return 0.0
-    evaluator = solver.evaluator
-
-    def integrand(y, _ya, _by):
-        return 1.0 - y * evaluator.phi_prime(y) / evaluator.phi(y)
-
-    value, _, _ = tanh_sinh(integrand, y_lo, y_hi, rel_tol=rel_tol)
-    return value / a_abs
+    return _y_decay_integral(solver.evaluator, y_lo, y_hi) / a_abs
 
 
 def _check_window(solver, alpha, t, t0):
@@ -468,76 +484,20 @@ def _check_window(solver, alpha, t, t0):
         raise DomainError(f"t = {t} below the integration start t0 = {t0}")
 
 
-def _tail_parts(solver, alpha, t, t0):
-    """What both tails at t share: psi(|a| t), half log psi'(|a| t) and the
-    decay integral over [t0, t], kept in the solver's exact-repeat
-    ``tail_memo`` so the second tail at one t reuses the first's work."""
-    a_abs = alpha.abs
-    key = (a_abs, t, t0)
-    parts = solver.tail_memo.get(key)
-    if parts is None:
-        psi_t = solver.psi(a_abs * t)
-        dpsi = solver.psi_prime_at(np.array([psi_t]))[0]
-        parts = (psi_t, 0.5 * math.log(dpsi),
-                 decay_integral(solver, alpha, t0, t))
-        solver.tail_memo[key] = parts
-    return parts
-
-
-def _estimate(log_val, t, t0):
-    value = math.exp(log_val) if log_val > _LOG_FLOOR else None
-    return TailEstimate(log_value=log_val, value=value, t=t, t0=t0)
-
-
-def extinction_log_tail(solver, alpha, t, t0=None):
-    """Tail class of the extinction time of the whole cascade:
-
-        (psi(|a| t)/t)**(1/|a| - 1) * sqrt(psi'(|a| t)) * exp(-decay integral)
-
-    returned in log domain together with the (possibly underflowing) linear
-    value.
-    """
-    alpha = as_alpha(alpha)
-    if t0 is None:
-        t0 = default_t0(solver, alpha)
-    _check_window(solver, alpha, t, t0)
-    psi_t, half_log_dpsi, integral = _tail_parts(solver, alpha, t, t0)
-    log_pref = (1.0 / alpha.abs - 1.0) * math.log(psi_t / t) + half_log_dpsi
-    return _estimate(log_pref - integral, t, t0)
-
-
-def tagged_log_tail(solver, alpha, t, t0=None):
-    """Tail class of the extinction time of one uniformly tagged fragment:
-
-        t * sqrt(psi'(|a| t)) / psi(|a| t) * exp(-decay integral).
-    """
-    alpha = as_alpha(alpha)
-    if t0 is None:
-        t0 = default_t0(solver, alpha)
-    _check_window(solver, alpha, t, t0)
-    psi_t, half_log_dpsi, integral = _tail_parts(solver, alpha, t, t0)
-    log_pref = math.log(t) + half_log_dpsi - math.log(psi_t)
-    return _estimate(log_pref - integral, t, t0)
-
-
-def tail_ratio(solver, alpha, t):
-    """(psi(|a| t)/t)**(1/|a|): the exact algebraic ratio between the two
-    tail classes above.  Converges to (|a| * total rate)**(1/|a|) for finite
-    measures, diverges otherwise."""
-    alpha = as_alpha(alpha)
-    if t * alpha.abs <= solver.x_psi:
-        raise DomainError(f"|alpha| t = {t * alpha.abs} not above x_psi")
-    return (solver.psi(alpha.abs * t) / t) ** (1.0 / alpha.abs)
-
-
 def log_tail_grid(solver, alpha, ts, t0=None):
     """Both log tails over a sorted grid, sharing one cumulative integral.
 
-    Returns (log_extinction, log_tagged) arrays.  psi is solved once over
-    t0 and the grid.  The decay integral is the running sum of
-    :func:`decay_integral` over consecutive grid segments, each the integral
-    of 1 - y phi'(y)/phi(y) between solved values y = psi(|alpha| t), and
-    psi' comes from the same values as phi(y)^2/(phi(y) - y phi'(y)).
+    Returns (log_extinction, log_tagged) arrays, the logs of
+
+        extinction  (psi(|a| t)/t)**(1/|a| - 1) * sqrt(psi'(|a| t))
+                    * exp(-decay integral)
+        tagged      t * sqrt(psi'(|a| t)) / psi(|a| t) * exp(-decay integral)
+
+    with the decay integral of psi(|a| r)/(|a| r) over [t0, t].  psi is
+    solved once at t0 and at each grid point, and nowhere else: the decay
+    integral is the running sum over consecutive grid segments of the
+    y-space integral between those solved values, and psi' comes from the
+    same values as phi(y)^2/(phi(y) - y phi'(y)).
     """
     alpha = as_alpha(alpha)
     ts = np.asarray(ts, dtype=float)
@@ -548,13 +508,62 @@ def log_tail_grid(solver, alpha, ts, t0=None):
     _check_window(solver, alpha, float(ts[0]), t0)
     a_abs = alpha.abs
     ys = solver.psi_values(a_abs * np.concatenate(([t0], ts)))
-    # the segments find their ends in the psi memo
-    bounds = [t0] + ts.tolist()
-    integral = np.cumsum([decay_integral(solver, alpha, lo, hi)
-                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+    ends = ys.tolist()
+    integral = np.cumsum([
+        _y_decay_integral(solver.evaluator, lo, hi) / a_abs
+        for lo, hi in zip(ends[:-1], ends[1:])])
     psi_t = ys[1:]
     half_log_dpsi = 0.5 * np.log(solver.psi_prime_at(psi_t))
     log_ext = ((1.0 / a_abs - 1.0) * np.log(psi_t / ts) + half_log_dpsi
                - integral)
     log_tag = np.log(ts) + half_log_dpsi - np.log(psi_t) - integral
     return log_ext, log_tag
+
+
+# solver -> {(|alpha|, t, t0): (log_extinction, log_tagged)}; an entry goes
+# with its solver
+_TAIL_PAIRS = weakref.WeakKeyDictionary()
+
+
+def _tail_pair(solver, alpha, t, t0):
+    """Both log tails at one t as the one-point :func:`log_tail_grid`,
+    through the exact-repeat pair memo; returns (log_ext, log_tag, t0)."""
+    alpha = as_alpha(alpha)
+    if t0 is None:
+        t0 = default_t0(solver, alpha)
+    memo = _TAIL_PAIRS.setdefault(solver, {})
+    key = (alpha.abs, t, t0)
+    if key not in memo:
+        log_ext, log_tag = log_tail_grid(solver, alpha, [t], t0)
+        memo[key] = (float(log_ext[0]), float(log_tag[0]))
+    return memo[key] + (t0,)
+
+
+def _estimate(log_val, t, t0):
+    value = math.exp(log_val) if log_val > _LOG_FLOOR else None
+    return TailEstimate(log_value=log_val, value=value, t=t, t0=t0)
+
+
+def extinction_log_tail(solver, alpha, t, t0=None):
+    """Tail class of the extinction time of the whole cascade (formula in
+    :func:`log_tail_grid`), returned in log domain together with the
+    (possibly underflowing) linear value."""
+    log_ext, _, t0 = _tail_pair(solver, alpha, t, t0)
+    return _estimate(log_ext, t, t0)
+
+
+def tagged_log_tail(solver, alpha, t, t0=None):
+    """Tail class of the extinction time of one uniformly tagged fragment
+    (formula in :func:`log_tail_grid`)."""
+    _, log_tag, t0 = _tail_pair(solver, alpha, t, t0)
+    return _estimate(log_tag, t, t0)
+
+
+def tail_ratio(solver, alpha, t):
+    """(psi(|a| t)/t)**(1/|a|): the exact algebraic ratio between the two
+    tail classes above.  Converges to (|a| * total rate)**(1/|a|) for finite
+    measures, diverges otherwise."""
+    alpha = as_alpha(alpha)
+    if t * alpha.abs <= solver.x_psi:
+        raise DomainError(f"|alpha| t = {t * alpha.abs} not above x_psi")
+    return (solver.psi(alpha.abs * t) / t) ** (1.0 / alpha.abs)

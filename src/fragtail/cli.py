@@ -117,7 +117,7 @@ def cmd_psi(args):
     solver = PsiSolver(PhiEvaluator(spec))
     y = solver.psi(args.x)
     residual = abs(y / solver.evaluator.phi(y) - args.x) / args.x
-    _emit({"psi": y, "psi_prime": solver.psi_prime(args.x),
+    _emit({"psi": y, "psi_prime": float(solver.psi_prime_at([y])[0]),
            "residual": residual, "x_psi": solver.x_psi,
            "config": {"measure": args.measure, "x": args.x}}, args.out)
     return 0
@@ -330,7 +330,14 @@ def cmd_identity(args):
 
 
 def cmd_verify(args):
-    only = set(int(v) for v in args.only.split(",")) if args.only else None
+    only = None
+    if args.only:
+        try:
+            only = set(int(v) for v in args.only.split(","))
+        except ValueError as exc:
+            raise ConfigError(
+                f"--only takes comma-separated criterion numbers, "
+                f"got {args.only!r}") from exc
     results = acceptance.run_all(fast=args.fast, workers=args.workers,
                                  only=only)
     print(acceptance.format_table(results))

@@ -9,17 +9,11 @@ point by point.
 Determinism contract: a solve for a given x always starts from the same
 deterministic bracket and runs the same safeguarded iteration on scalar phi
 values, so a point gets the bit-identical value whether it is solved alone,
-in any batch, in any order, or by concurrent callers.  The memo holds exact
-repeats of x only (cheap, and a tail, its decay integral and the grid
-segments ask for the same ends): it never seeds or influences a fresh
-solve.
-
-The solver also carries ``tail_memo``, where
-:mod:`fragtail.asymptotics` keeps the ingredients both tails at one t share
-(psi(|alpha| t), half log psi'(|alpha| t) and the decay integral from t0),
-under the same contract: the key is the exact (|alpha|, t, t0), and a stored
-value never seeds or steers a fresh computation, so every tail is
-bit-identical with or without it.
+in any batch, in any order, or by concurrent callers.  The solver holds
+nothing beyond its evaluator and the domain edge x_psi: every call solves
+afresh, and callers that need psi' or a decay integral at points they have
+already solved pass the solved values on (:meth:`PsiSolver.psi_prime_at`,
+:func:`fragtail.asymptotics.log_tail_grid`).
 """
 
 from __future__ import annotations
@@ -32,26 +26,19 @@ from scipy.optimize import brentq
 from .errors import DomainError, NumericalFailure
 
 _EDGE_GUARD = 1e-6   # refuse x within this relative margin of x_psi
+_RTOL = 1e-10        # residual contract: |psi(x)/phi(psi(x)) - x| <= _RTOL * x
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
 class PsiSolver:
-    """Inverts y -> y/phi(y) for one measure.
+    """Inverts y -> y/phi(y) for one measure (a :class:`PhiEvaluator`).
 
-    Parameters
-    ----------
-    evaluator : PhiEvaluator
-    rtol : float
-        Residual tolerance: each returned y satisfies
-        |y/phi(y) - x| <= rtol * x.
+    Each returned y satisfies |y/phi(y) - x| <= 1e-10 * x.
     """
 
-    def __init__(self, evaluator, rtol=1e-10):
+    def __init__(self, evaluator):
         self.evaluator = evaluator
-        self.rtol = rtol
         self.x_psi = evaluator.x_psi()
-        self._memo = {}
-        self.tail_memo = {}
 
     def _ratio(self, y):
         return y / self.evaluator.phi(y)
@@ -63,9 +50,6 @@ class PsiSolver:
                 and x > self.x_psi * (1.0 + _EDGE_GUARD)):
             raise DomainError(
                 f"psi is defined for x > x_psi = {self.x_psi:.6g}, got {x}")
-        cached = self._memo.get(x)
-        if cached is not None:
-            return cached
 
         # deterministic bracket: double up from max(1, x) until the ratio
         # exceeds x, halve down until it falls below
@@ -87,11 +71,10 @@ class PsiSolver:
         y = brentq(lambda v: self._ratio(v) - x, lo, hi,
                    xtol=1e-300, rtol=_BRENT_RTOL, maxiter=300)
         residual = abs(self._ratio(y) - x)
-        if residual > self.rtol * x:
+        if residual > _RTOL * x:
             raise NumericalFailure(
-                f"psi({x}) residual {residual:.3e} exceeds {self.rtol:.1e}*x",
+                f"psi({x}) residual {residual:.3e} exceeds {_RTOL:.1e}*x",
                 achieved=residual / x)
-        self._memo[x] = y
         return y
 
     def psi_values(self, xs):
@@ -129,10 +112,5 @@ class PsiSolver:
             n -= 1
         if x_max / 2.0 < x_lo_floor:
             raise DomainError("x_max too small for a growth estimate")
-        kappa = -np.inf
-        x = x_max / 2.0 ** n
-        for _ in range(n):
-            ratio = self.psi(2.0 * x) / self.psi(x)
-            kappa = max(kappa, np.log2(ratio))
-            x *= 2.0
-        return float(kappa)
+        ys = self.psi_values(x_max / 2.0 ** n * 2.0 ** np.arange(n + 1))
+        return float(np.max(np.log2(ys[1:] / ys[:-1])))

@@ -25,7 +25,9 @@ from scipy.special import digamma, gamma as gamma_fn, gammaln, rgamma, zeta
 
 from .errors import DomainError, UnsupportedSampling
 from .measures import ATOMIC, BINARY_DENSITY, atom_arrays, split_density
-from .quadrature import tanh_sinh, tanh_sinh_01
+from .quadrature import tanh_sinh
+
+_QUAD_RTOL = 1e-10  # tanh-sinh stopping tolerance of every quadrature here
 
 # ---------------------------------------------------------------------------
 # gamma-function helpers
@@ -198,7 +200,7 @@ class BetaGapIntegral:
     quad_error: float
 
 
-def beta_gap_integral(a, b, x, rel_tol=1e-10):
+def beta_gap_integral(a, b, x):
     if a <= 0.0 or b <= -1.0 or x < 0.0:
         raise DomainError(
             f"beta_gap_integral requires a>0, b>-1, x>=0, got {(a, b, x)}")
@@ -220,7 +222,7 @@ def beta_gap_integral(a, b, x, rel_tol=1e-10):
                                           + (b - 1.0) * np.log(bmx))
                     * inv_gamma_b)
 
-        quad, err, _ = tanh_sinh_01(integrand, rel_tol=rel_tol)
+        quad, err, _ = tanh_sinh(integrand, 0.0, 1.0, rel_tol=_QUAD_RTOL)
     return BetaGapIntegral(gamma_form=gamma_form, quadrature=quad,
                            quad_error=err)
 
@@ -384,9 +386,8 @@ class PhiEvaluator:
     independent cross-check of the closed forms).
     """
 
-    def __init__(self, spec, method="auto", quad_rtol=1e-10):
+    def __init__(self, spec, method="auto"):
         self.spec = spec
-        self.quad_rtol = quad_rtol
         if method == "auto":
             if spec.variant == ATOMIC:
                 method = "atomic-sum"
@@ -414,7 +415,6 @@ class PhiEvaluator:
             self._log_parts = np.log(parts_flat)
             self._part_weights = weights
             self._weight_total = math.fsum(w for w, _ in spec.atoms)
-        self._x_psi_cache = None
 
     # -- core evaluations ---------------------------------------------------
 
@@ -471,8 +471,7 @@ class PhiEvaluator:
                 return (-np.expm1((xv + 1.0) * log_u)
                         - np.exp((xv + 1.0) * log_1mu)) * f
 
-            val, err, _ = tanh_sinh(integrand, 0.5, 1.0,
-                                    rel_tol=self.quad_rtol)
+            val, err, _ = tanh_sinh(integrand, 0.5, 1.0, rel_tol=_QUAD_RTOL)
             return spec.scale * val
 
         if np.ndim(x) == 0:
@@ -499,8 +498,7 @@ class PhiEvaluator:
                 def integrand(u, uma, bmx):
                     return (-np.expm1((xv + 1.0) * np.log1p(-bmx))
                             * split_density(spec, u, bmx))
-                val, _, _ = tanh_sinh(integrand, 0.5, 1.0,
-                                      rel_tol=self.quad_rtol)
+                val, _, _ = tanh_sinh(integrand, 0.5, 1.0, rel_tol=_QUAD_RTOL)
                 return scale * val
 
             if np.ndim(x) == 0:
@@ -517,29 +515,23 @@ class PhiEvaluator:
         Equals lim_{x->0+} x/phi(x): the reciprocal of phi'(0+) for
         conservative measures (phi(0) = 0), and 0 when phi(0) > 0.
         """
-        if self._x_psi_cache is not None:
-            return self._x_psi_cache
         phi0 = self.phi(1e-12)  # phi(0) for conservative specs is exactly 0
         if self.phi(0.0) > 1e-12 * max(1.0, phi0):
-            value = 0.0
-        else:
-            dphi0 = None
-            if self.method == "atomic-sum":
-                dphi0 = self.phi_prime(0.0)
-            elif self.method == "closed-form":
-                base = _analytic_dphi0(self.spec)
-                if base is not None:
-                    dphi0 = self.spec.scale * base
-            if dphi0 is not None:
-                value = 1.0 / dphi0
-            else:
-                # Richardson limit of x/phi(x); error O(h^2)
-                h = 1e-6
-                r1 = h / self.phi(h)
-                r2 = 2.0 * h / self.phi(2.0 * h)
-                value = 2.0 * r1 - r2
-        self._x_psi_cache = value
-        return value
+            return 0.0
+        dphi0 = None
+        if self.method == "atomic-sum":
+            dphi0 = self.phi_prime(0.0)
+        elif self.method == "closed-form":
+            base = _analytic_dphi0(self.spec)
+            if base is not None:
+                dphi0 = self.spec.scale * base
+        if dphi0 is not None:
+            return 1.0 / dphi0
+        # Richardson limit of x/phi(x); error O(h^2)
+        h = 1e-6
+        r1 = h / self.phi(h)
+        r2 = 2.0 * h / self.phi(2.0 * h)
+        return 2.0 * r1 - r2
 
     def check_hypothesis(self, x_max=1e4, n_grid=200, delta=0.01):
         """Growth-ratio diagnostic over a log grid on [1, x_max].
@@ -561,5 +553,5 @@ class PhiEvaluator:
     def error_estimate(self):
         """Crude per-call relative error of phi under the active method."""
         if self.method == "quadrature":
-            return self.quad_rtol
+            return _QUAD_RTOL
         return 5e-15

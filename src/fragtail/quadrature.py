@@ -94,8 +94,3 @@ def tanh_sinh(f, a, b, rel_tol=1e-10, max_nodes=2 ** 14):
                 f"{max_nodes} nodes",
                 achieved=err,
             )
-
-
-def tanh_sinh_01(f, rel_tol=1e-10, max_nodes=2 ** 14):
-    """Integrate ``f(u, u, 1-u)`` over the unit interval."""
-    return tanh_sinh(f, 0.0, 1.0, rel_tol=rel_tol, max_nodes=max_nodes)

@@ -327,6 +327,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                 child_idx = np.where(child_idx >= seg_end, -1, child_idx)
             chosen[k, runs_t] = child_idx
 
+        keep = child_mass >= eps
         if ntags == 2:
             both_runs = np.flatnonzero(
                 (tag_row[0] >= 0) & (tag_row[0] == tag_row[1]))
@@ -334,11 +335,13 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                 shared[both_runs] += 1
                 c0 = chosen[0, both_runs]
                 c1 = chosen[1, both_runs]
-                sep = (c0 != c1) | ((c0 == -1) & (c1 == -1))
+                # the tags part here unless both ride on into one child
+                # that stays above the cutoff (keep[-1] is read for dust
+                # routing but never decides: c0 == -1 already separates)
+                sep = (c0 != c1) | (c0 == -1) | ~keep[c0]
                 sep_runs = both_runs[sep]
                 t_sep[sep_runs] = death[tag_row[0, sep_runs]]
 
-        keep = child_mass >= eps
         n_keep = int(np.count_nonzero(keep))
         if n_keep != n_child:
             dust = ~keep

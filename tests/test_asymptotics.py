@@ -340,13 +340,53 @@ def _counting_tanh_sinh(monkeypatch):
     return calls
 
 
+def _counting_psi(monkeypatch):
+    calls = []
+    real = PsiSolver.psi
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(PsiSolver, "psi", counted)
+    return calls
+
+
 def test_tail_pair_shares_one_integration(monkeypatch):
+    # a cold pair solves psi at t0 and t once each and integrates once
+    solves = _counting_psi(monkeypatch)
     calls = _counting_tanh_sinh(monkeypatch)
     s = solver_for(M.make_stable(1.5))
     alpha = intrinsic_alpha(M.make_stable(1.5))
     extinction_log_tail(s, alpha, 120.0)
     tagged_log_tail(s, alpha, 120.0)
+    assert len(solves) == 2
     assert len(calls) == 1
+
+
+def test_grid_solves_each_point_once(monkeypatch):
+    solves = _counting_psi(monkeypatch)
+    calls = _counting_tanh_sinh(monkeypatch)
+    spec = M.make_ford(0.5)
+    ts = np.geomspace(50.0, 500.0, 13)
+    log_tail_grid(solver_for(spec), intrinsic_alpha(spec), ts)
+    assert len(solves) == len(ts) + 1
+    assert len(calls) == len(ts)
+
+
+def test_scalar_tails_are_the_one_point_grid():
+    for spec in EXACT_TAIL_SPECS:
+        alpha = intrinsic_alpha(spec) or -1.0
+        t0 = default_t0(solver_for(spec), alpha)
+        for t in (30.0, 95.0, 400.0):
+            for start in (None, 0.5 * (t0 + t)):
+                log_ext, log_tag = log_tail_grid(solver_for(spec), alpha,
+                                                 [t], start)
+                s = solver_for(spec)
+                assert (extinction_log_tail(s, alpha, t, start).log_value
+                        == log_ext[0])
+                assert (tagged_log_tail(s, alpha, t, start).log_value
+                        == log_tag[0])
 
 
 def test_tail_memo_bit_identical_and_exact_key(monkeypatch):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import fragtail.cli as cli
+from fragtail import acceptance
 from fragtail.cli import _fmt, dumps17, main
+from fragtail.errors import ConfigError
 
 
 @pytest.fixture
@@ -238,6 +240,16 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
         argv = argv + ["--measure", uniform2]
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("only", ["99", "x", "1,99"])
+def test_verify_unknown_criterion_is_a_config_error(capsys, only):
+    assert main(["verify", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ConfigError"
+    with pytest.raises(ConfigError):
+        acceptance.run_criterion(99)
 
 
 def test_identity_restart_suite_off_unit_alpha(capsys, uniform2):

@@ -104,6 +104,22 @@ def test_growth_exponents():
         < 0.05
 
 
+def test_growth_exponent_solves_each_octave_point_once(monkeypatch):
+    calls = []
+    real = PsiSolver.psi
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(PsiSolver, "psi", counted)
+    s = solver_for(M.make_stable(2.0))
+    s.growth_exponent(1e5, octaves=6)
+    assert len(calls) == 7
+    # the solver keeps nothing beyond its inputs
+    assert set(vars(s)) == {"evaluator", "x_psi"}
+
+
 @pytest.mark.parametrize("spec", [M.make_identical(2), M.make_uniform(2),
                                   M.make_stable(2.0)])
 def test_growth_exponent_respects_ratio_bound(spec):
