@@ -16,24 +16,22 @@ acceptance  the exact-in-law identity suites and the end-to-end
 from .errors import (ConfigError, DomainError, FragtailError,
                      InsufficientWindow, NumericalFailure, UncoveredRegion,
                      UnsupportedExpansion, UnsupportedSampling)
-from .measures import (DislocationSpec, from_config,
-                       integrability_diagnostic, intrinsic_alpha,
-                       load_measure, make_atomic, make_beta,
-                       make_beta_splitting, make_ford, make_identical,
-                       make_stable, make_uniform, total_mass)
-from .laplace import (BetaGapIntegral, GammaQuotient, PhiEvaluator,
-                      beta_gap_integral, gamma_quotient, gammaln_diff)
+from .measures import (DislocationSpec, intrinsic_alpha, load_measure,
+                       make_atomic, make_beta, make_beta_splitting,
+                       make_ford, make_identical, make_stable, make_uniform,
+                       total_mass)
+from .laplace import PhiEvaluator, beta_gap_integral, gamma_quotient
 from .inversion import PsiSolver
 from .asymptotics import (AlphaIndex, ExpansionSpec, TailShape,
-                          brownian_excursion_max_tail, decay_integral,
-                          default_t0, expand_psi_over_x, extinction_log_tail,
+                          brownian_excursion_max_tail, default_t0,
+                          expand_psi_over_x, extinction_log_tail,
                           family_tail_shape, log_tail_grid, phi_expansion,
                           tagged_log_tail, tail_ratio,
                           tail_shape_from_expansion)
-from .simulate import (CascadeConfig, EnsembleResult, mix_seed,
-                       reference_cascade, run_ensemble, sample_zeta_tag)
-from .stats import (KSResult, MomentEstimate, ShapeFit, SurvivalCurve,
-                    ks_two_sample, moment_estimate, paired_mean_diff,
-                    shape_fit, survival_curve, synthetic_tail_samples)
+from .simulate import (CascadeConfig, EnsembleResult, run_ensemble,
+                       sample_zeta_tag)
+from .stats import (KSResult, ShapeFit, SurvivalCurve, ks_two_sample,
+                    paired_mean_diff, shape_fit, survival_curve,
+                    synthetic_tail_samples)
 
 __version__ = "0.1.0"

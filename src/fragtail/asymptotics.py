@@ -441,9 +441,11 @@ def default_t0(solver, alpha):
 def _y_decay_integral(evaluator, y_lo, y_hi):
     """integral of (1 - y phi'(y)/phi(y)) dy over [y_lo, y_hi].
 
-    This is |alpha| times the decay integral between the points whose psi
-    values are y_lo and y_hi (see :func:`decay_integral`).  The integrand is
-    smooth and lies in (0, 1).
+    This is |alpha| times the decay integral of psi(|alpha| r)/(|alpha| r)
+    dr between the points whose psi values are y_lo and y_hi: substituting
+    y = psi(|alpha| r), so that |alpha| r = y/phi(y) and
+    psi(|alpha| r)/(|alpha| r) = phi(y), needs psi at the two ends only.
+    The integrand is smooth and lies in (0, 1).
     """
     if y_hi == y_lo:
         return 0.0
@@ -453,26 +455,6 @@ def _y_decay_integral(evaluator, y_lo, y_hi):
 
     value, _, _ = tanh_sinh(integrand, y_lo, y_hi, rel_tol=_DECAY_RTOL)
     return value
-
-
-def decay_integral(solver, alpha, lo, hi):
-    """integral of psi(|alpha| r) / (|alpha| r) dr over [lo, hi].
-
-    Substituting y = psi(|alpha| r), so that |alpha| r = y/phi(y) and
-    psi(|alpha| r)/(|alpha| r) = phi(y), turns it into
-
-        (1/|alpha|) * integral of (1 - y phi'(y)/phi(y)) dy
-                      over [psi(|alpha| lo), psi(|alpha| hi)],
-
-    which needs psi at the two ends only.
-    """
-    a_abs = as_alpha(alpha).abs
-    if hi < lo:
-        raise DomainError("integration bounds out of order")
-    if hi == lo:
-        return 0.0
-    y_lo, y_hi = solver.psi(a_abs * lo), solver.psi(a_abs * hi)
-    return _y_decay_integral(solver.evaluator, y_lo, y_hi) / a_abs
 
 
 def _check_window(solver, alpha, t, t0):

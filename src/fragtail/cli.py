@@ -37,13 +37,14 @@ _NUMERIC_EXIT = (DomainError, NumericalFailure, UncoveredRegion,
 _CSV_BLOCK_ROWS = 4096
 
 
-def _fmt(value):
+def dumps17(value):
+    """JSON text with floats at 17 significant digits (replay-exact)."""
     if isinstance(value, float):
         if math.isfinite(value):
             return format(value, ".17g")
         return json.dumps(value if value == value else None)
     if isinstance(value, (np.floating,)):
-        return _fmt(float(value))
+        return dumps17(float(value))
     if isinstance(value, (np.integer,)):
         return str(int(value))
     if isinstance(value, bool):
@@ -55,19 +56,29 @@ def _fmt(value):
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
-        return _fmt(list(value))
+        return dumps17(list(value))
     if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}"
+        inner = ", ".join(f"{json.dumps(str(k))}: {dumps17(v)}"
                           for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+        return "[" + ", ".join(dumps17(v) for v in value) + "]"
     return json.dumps(value)
 
 
-def dumps17(obj):
-    """JSON text with floats at 17 significant digits (replay-exact)."""
-    return _fmt(obj)
+def _comma_list(text, option, kind=float, count=None):
+    """The comma-separated values of a command-line option, each parsed by
+    ``kind``; an empty text is the empty tuple.  A malformed item, or a
+    length other than ``count`` when given, is a ConfigError."""
+    try:
+        values = tuple(kind(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        values = None
+    if values is None or count is not None and len(values) != count:
+        what = f"{count} comma-separated" if count else "comma-separated"
+        raise ConfigError(
+            f"{option} takes {what} {kind.__name__} values, got {text!r}")
+    return values
 
 
 def _emit(obj, out_path=None):
@@ -179,64 +190,63 @@ def cmd_shape(args):
 
 
 def _csv_column(values):
-    """One numeric column as ``_fmt`` writes each value: floats with 17
+    """One numeric column as ``dumps17`` writes each value: floats with 17
     significant digits, integers and booleans as integers."""
     values = np.asarray(values)
     if values.dtype.kind != "f":
         return [str(v) for v in values.astype(np.int64).tolist()]
     if np.isfinite(values).all():
         return [format(v, ".17g") for v in values.tolist()]
-    return [_fmt(v) for v in values.tolist()]
+    return [dumps17(v) for v in values.tolist()]
 
 
-def _write_csv(fh, header, columns):
-    """Header and rows with the line ends ``csv.writer`` uses; no field
-    written here needs quoting.  Columns are formatted a block of rows at a
-    time, so the strings held at once stay bounded for any run count."""
-    fh.write(",".join(header) + "\r\n")
-    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        cells = [_csv_column(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
-        fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+def _write_csv(path, config, header, columns):
+    """The '# {config}' line, then header and rows with the line ends
+    ``csv.writer`` uses, to ``path`` (None or '-': stdout); no field written
+    here needs quoting.  Columns are formatted a block of rows at a time,
+    so the strings held at once stay bounded for any run count."""
+    fh = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+    try:
+        fh.write("# " + dumps17(config) + "\n")
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [_csv_column(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def cmd_simulate(args):
+    checkpoints = _comma_list(args.checkpoints, "--checkpoints")
     spec = load_measure(args.measure)
-    checkpoints = tuple(float(v) for v in args.checkpoints.split(",")) \
-        if args.checkpoints else ()
     cfg = CascadeConfig(alpha=args.alpha, cutoff=args.cutoff,
                         checkpoints=checkpoints, max_events=args.max_events,
                         seed=args.seed, tags=args.tags)
     ens = run_ensemble(spec, cfg, args.runs, workers=args.workers)
-    header = {"measure": args.measure, "alpha": args.alpha,
+    config = {"measure": args.measure, "alpha": args.alpha,
               "runs": args.runs, "cutoff": args.cutoff,
               "checkpoints": list(checkpoints), "seed": args.seed,
               "tags": args.tags, "max_events": args.max_events,
               "workers": args.workers or default_workers()}
-    out = args.out or "-"
-    fh = sys.stdout if out == "-" else open(out, "w", newline="")
-    try:
-        fh.write("# " + dumps17(header) + "\n")
-        cols = ["run_id", "extinction_est", "trunc_error_bound", "truncated",
-                "first_event"]
-        data = [np.arange(ens.n_runs), ens.zeta, ens.trunc_error_bound,
-                ens.truncated, ens.first_event]
-        for j, t in enumerate(checkpoints):
-            cols += [f"F1_t{t:g}", f"S1_t{t:g}", f"S2_t{t:g}"]
-            data += [ens.largest[:, j], ens.sum_masses[:, j],
-                     ens.sum_squares[:, j]]
-            for k in range(args.tags):
-                cols.append(f"tag{k + 1}_t{t:g}")
-                data.append(ens.tag_mass[k, :, j])
-        if args.tags == 2:
-            cols.append("t_sep")
-            data.append(ens.separation_time)
+    cols = ["run_id", "extinction_est", "trunc_error_bound", "truncated",
+            "first_event"]
+    data = [np.arange(ens.n_runs), ens.zeta, ens.trunc_error_bound,
+            ens.truncated, ens.first_event]
+    for j, t in enumerate(checkpoints):
+        cols += [f"F1_t{t:g}", f"S1_t{t:g}", f"S2_t{t:g}"]
+        data += [ens.largest[:, j], ens.sum_masses[:, j],
+                 ens.sum_squares[:, j]]
         for k in range(args.tags):
-            cols += [f"tag{k + 1}_death", f"tag{k + 1}_killed"]
-            data += [ens.tag_death[k], ens.tag_killed[k]]
-        _write_csv(fh, cols, data)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+            cols.append(f"tag{k + 1}_t{t:g}")
+            data.append(ens.tag_mass[k, :, j])
+    if args.tags == 2:
+        cols.append("t_sep")
+        data.append(ens.separation_time)
+    for k in range(args.tags):
+        cols += [f"tag{k + 1}_death", f"tag{k + 1}_killed"]
+        data += [ens.tag_death[k], ens.tag_killed[k]]
+    _write_csv(args.out, config, cols, data)
     return 0
 
 
@@ -244,18 +254,11 @@ def cmd_zeta_tag(args):
     spec = load_measure(args.measure)
     out = sample_zeta_tag(spec, args.alpha, args.tol, args.n,
                           _generator(args.seed))
-    header = {"measure": args.measure, "alpha": args.alpha, "n": args.n,
+    config = {"measure": args.measure, "alpha": args.alpha, "n": args.n,
               "tol": args.tol, "seed": args.seed}
-    dest = args.out or "-"
-    fh = sys.stdout if dest == "-" else open(dest, "w", newline="")
-    try:
-        fh.write("# " + dumps17(header) + "\n")
-        _write_csv(fh, ["sample_id", "value", "trunc_bound", "killed"],
-                   [np.arange(args.n), out["value"], out["bound"],
-                    out["killed"]])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write_csv(args.out, config,
+               ["sample_id", "value", "trunc_bound", "killed"],
+               [np.arange(args.n), out["value"], out["bound"], out["killed"]])
     return 0
 
 
@@ -275,6 +278,7 @@ def _read_samples(path, column):
 
 
 def cmd_fit(args):
+    lo, hi = _comma_list(args.window, "--window", count=2)
     samples = _read_samples(args.samples, args.column)
     with open(args.shape) as fh:
         shape_doc = json.load(fh)
@@ -282,7 +286,6 @@ def cmd_fit(args):
         poly_exponent=float(shape_doc["poly_exponent"]),
         exp_terms=tuple((float(c), float(p))
                         for c, p in shape_doc["exp_terms"]))
-    lo, hi = (float(v) for v in args.window.split(","))
     levels = np.geomspace(hi, lo * 1.3, args.levels)
     t_grid = np.unique(np.quantile(samples, 1.0 - levels))
     curve = survival_curve(samples, t_grid)
@@ -304,10 +307,10 @@ _IDENTITY_ALIASES = {"eq10": "separation", "separation": "separation",
 
 
 def cmd_identity(args):
+    checkpoints = (_comma_list(args.checkpoints, "--checkpoints")
+                   or (1.0, 2.0, 4.0, 6.0))
     spec = load_measure(args.measure)
     suite = _IDENTITY_ALIASES[args.suite]
-    checkpoints = tuple(float(v) for v in args.checkpoints.split(",")) \
-        if args.checkpoints else (1.0, 2.0, 4.0, 6.0)
     if suite == "restart":
         t_star, ks = acceptance.restart_ks(spec, args.alpha, args.cutoff,
                                            args.runs, args.seed, args.runs,
@@ -330,14 +333,7 @@ def cmd_identity(args):
 
 
 def cmd_verify(args):
-    only = None
-    if args.only:
-        try:
-            only = set(int(v) for v in args.only.split(","))
-        except ValueError as exc:
-            raise ConfigError(
-                f"--only takes comma-separated criterion numbers, "
-                f"got {args.only!r}") from exc
+    only = set(_comma_list(args.only, "--only", kind=int)) or None
     results = acceptance.run_all(fast=args.fast, workers=args.workers,
                                  only=only)
     print(acceptance.format_table(results))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gamma as gamma_fn, gammaln, rgamma, zeta
 
-from .errors import DomainError, UnsupportedSampling
+from .errors import DomainError
 from .measures import ATOMIC, BINARY_DENSITY, atom_arrays, split_density
 from .quadrature import tanh_sinh
 
@@ -478,35 +478,6 @@ class PhiEvaluator:
             return one(float(x))
         return np.array([one(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
 
-    def phi_largest(self, x):
-        """Largest-piece-only exponent: integral of (1 - s1**(x+1)) nu(ds).
-
-        For binary conservative measures it tracks phi within (1/2)**x.
-        """
-        x = np.asarray(x, dtype=float)
-        scale = self.spec.scale
-        if self.spec.variant == ATOMIC:
-            s1 = np.array([parts[0] for _, parts in self.spec.atoms])
-            w = np.array([wt for wt, _ in self.spec.atoms])
-            powered = np.exp(np.multiply.outer(x + 1.0, np.log(s1)))
-            val = scale * ((1.0 - powered) @ w)
-            return float(val) if x.ndim == 0 else val
-        if self.spec.variant == BINARY_DENSITY:
-            spec = self.spec
-
-            def one(xv):
-                def integrand(u, uma, bmx):
-                    return (-np.expm1((xv + 1.0) * np.log1p(-bmx))
-                            * split_density(spec, u, bmx))
-                val, _, _ = tanh_sinh(integrand, 0.5, 1.0, rel_tol=_QUAD_RTOL)
-                return scale * val
-
-            if np.ndim(x) == 0:
-                return one(float(x))
-            return np.array([one(float(v)) for v in np.ravel(x)])
-        raise UnsupportedSampling(
-            "largest-piece exponent needs an explicit split law")
-
     # -- derived quantities --------------------------------------------------
 
     def x_psi(self):
@@ -542,6 +513,8 @@ class PhiEvaluator:
         """
         if x_max < 100.0:
             raise DomainError("check_hypothesis requires x_max >= 100")
+        if n_grid < 2:
+            raise DomainError("check_hypothesis requires n_grid >= 2")
         grid = np.geomspace(1.0, x_max, int(n_grid))
         ratio = self.phi_prime(grid) * grid / self.phi(grid)
         tail = ratio[len(grid) // 2:]

@@ -75,15 +75,6 @@ class DislocationSpec:
         raise UnsupportedSampling(
             f"family {self.family!r} has infinite total rate")
 
-    @property
-    def conservative(self):
-        """True when splits lose no mass to dust (sum of parts is 1)."""
-        if self.variant == ATOMIC:
-            return all(
-                abs(math.fsum(parts) - 1.0) <= 4.0 * np.finfo(float).eps
-                for _, parts in self.atoms)
-        return True  # binary-density and all analytic families conserve mass
-
 
 def total_mass(spec):
     """Total splitting rate of the measure; the exponential clock rate of a
@@ -278,18 +269,7 @@ def density_endpoint_exponent(spec):
     symbolic endpoint-integrability decision."""
     if spec.family == "uniform-k":
         return 0.0
-    if spec.family == "beta":
-        return min(spec.param("a"), spec.param("b")) - 1.0
-    # generic fallback: log-slope probe near the endpoint
-    estimates = []
-    for h in (1e-6, 1e-7):
-        f1 = float(split_density(spec, 1.0 - h, h))
-        f2 = float(split_density(spec, 1.0 - h / 2.0, h / 2.0))
-        estimates.append(math.log2(f1 / f2))
-    if abs(estimates[0] - estimates[1]) > 0.05:
-        raise ConfigError(
-            "cannot identify the endpoint exponent of the split density")
-    return 0.5 * (estimates[0] + estimates[1])
+    return min(spec.param("a"), spec.param("b")) - 1.0  # beta
 
 
 _ICDF_CACHE = {}

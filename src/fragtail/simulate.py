@@ -3,11 +3,12 @@
 A fragment of mass m waits an exponential time with rate
 ``total_rate * m**alpha`` (alpha < 0: small fragments split faster), then
 splits according to the normalized dislocation measure.  Children below the
-dust cutoff leave the system; their unresolved extinction times are
-accounted for by the exact self-similarity relation (a fragment of mass m
-drags out extinction by m**|alpha| times an independent copy), reported as
-``trunc_error_bound`` using the known mean 1/phi(|alpha|) per unit
-|alpha|-power of truncated mass.
+dust cutoff leave the system.  Each run reports ``trunc_error_bound``, the
+sum over its dust fragments of m**|alpha| times 1/phi(|alpha|), the mean
+extinction time of a *tagged* unit-mass fragment.  It is not a bound on the
+cutoff bias of the extinction time, since a dust fragment would restart a
+whole cascade: for conservative measures at |alpha| = 1 all mass ends in
+dust, and it reads 1/phi(1) in every run that is not truncated.
 
 Two engines implement the same law:
 
@@ -374,7 +375,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         level += 1
 
     inv_phi = 1.0 / PhiEvaluator(spec).phi(abs_alpha)
-    out = {
+    return {
         "zeta": zeta,
         "trunc_error_bound": trunc * inv_phi,
         "truncated": truncated,
@@ -392,7 +393,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         "snapshot_mass": (np.concatenate(snap_masses) if snap_masses
                           else np.empty(0)),
     }
-    return out
 
 
 def _chunk_sizes(n_runs):
@@ -445,35 +445,18 @@ def run_ensemble(spec, cfg, n_runs, workers=None):
 
 
 def _merge_chunks(cfg, chunks, sizes):
-    def cat(key):
-        if chunks[0][key] is None:
-            return None
-        return np.concatenate([c[key] for c in chunks])
-
-    def cat_tags(key):
-        if chunks[0][key] is None:
-            return None
-        return np.concatenate([c[key] for c in chunks], axis=1)
-
+    """One result from the chunk dicts in chunk order: the per-tag arrays
+    join along their run axis 1, and snapshot run ids are shifted by the
+    chunk's first run."""
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    snap_run = np.concatenate(
-        [c["snapshot_run"] + off for c, off in zip(chunks, offsets)])
-    return EnsembleResult(
-        checkpoints=cfg.checkpoints,
-        zeta=cat("zeta"),
-        trunc_error_bound=cat("trunc_error_bound"),
-        truncated=cat("truncated"),
-        first_event=cat("first_event"),
-        largest=cat("largest"),
-        sum_masses=cat("sum_masses"),
-        sum_squares=cat("sum_squares"),
-        tag_mass=cat_tags("tag_mass"),
-        tag_death=cat_tags("tag_death"),
-        tag_killed=cat_tags("tag_killed"),
-        separation_time=cat("separation_time"),
-        shared_splits=cat("shared_splits"),
-        snapshot_run=snap_run,
-        snapshot_mass=cat("snapshot_mass"))
+    merged = {}
+    for key in chunks[0]:
+        parts = [c[key] for c in chunks]
+        if key == "snapshot_run":
+            parts = [p + off for p, off in zip(parts, offsets)]
+        merged[key] = None if parts[0] is None else np.concatenate(
+            parts, axis=1 if key.startswith("tag_") else 0)
+    return EnsembleResult(checkpoints=cfg.checkpoints, **merged)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +477,8 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
     """
     if not alpha < 0.0:
         raise ConfigError("tagged lineage needs a negative index")
+    if not tol > 0.0:
+        raise ConfigError(f"stop tolerance must be positive, got {tol}")
     if spec.variant not in (ATOMIC, BINARY_DENSITY):
         raise UnsupportedSampling(
             f"family {spec.family!r} cannot be sampled")

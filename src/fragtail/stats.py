@@ -1,5 +1,5 @@
-"""Estimation utilities: survival curves, shape fits, moments, two-sample
-tests.
+"""Estimation utilities: survival curves, shape fits, paired differences,
+two-sample tests.
 
 Everything here is aggregation over immutable sample arrays.  Shape fits
 work in log-survival space: the tail classes proved for these cascades hold
@@ -87,17 +87,6 @@ def shape_fit(curve, shape, window=(1e-3, 0.2)):
 class MomentEstimate:
     mean: float
     stderr: float
-
-
-def moment_estimate(masses, a):
-    """Sample mean of mass**a with its standard error."""
-    if not a > 0.0:
-        raise ConfigError("moment power must be positive")
-    masses = np.asarray(masses, dtype=float)
-    vals = masses ** a
-    n = len(vals)
-    return MomentEstimate(mean=float(vals.mean()),
-                          stderr=float(vals.std(ddof=1) / math.sqrt(n)))
 
 
 def paired_mean_diff(x, y):

@@ -8,7 +8,7 @@ import pytest
 
 import fragtail.cli as cli
 from fragtail import acceptance
-from fragtail.cli import _fmt, dumps17, main
+from fragtail.cli import dumps17, main
 from fragtail.errors import ConfigError
 
 
@@ -113,19 +113,19 @@ def _rowwise_simulate_rows(ens, checkpoints, tags):
         cols += [f"tag{k + 1}_death", f"tag{k + 1}_killed"]
     writer.writerow(cols)
     for i in range(ens.n_runs):
-        row = [i, _fmt(float(ens.zeta[i])),
-               _fmt(float(ens.trunc_error_bound[i])),
-               int(ens.truncated[i]), _fmt(float(ens.first_event[i]))]
+        row = [i, dumps17(float(ens.zeta[i])),
+               dumps17(float(ens.trunc_error_bound[i])),
+               int(ens.truncated[i]), dumps17(float(ens.first_event[i]))]
         for j in range(len(checkpoints)):
-            row.append(_fmt(float(ens.largest[i, j])))
-            row.append(_fmt(float(ens.sum_masses[i, j])))
-            row.append(_fmt(float(ens.sum_squares[i, j])))
+            row.append(dumps17(float(ens.largest[i, j])))
+            row.append(dumps17(float(ens.sum_masses[i, j])))
+            row.append(dumps17(float(ens.sum_squares[i, j])))
             for k in range(tags):
-                row.append(_fmt(float(ens.tag_mass[k, i, j])))
+                row.append(dumps17(float(ens.tag_mass[k, i, j])))
         if tags == 2:
-            row.append(_fmt(float(ens.separation_time[i])))
+            row.append(dumps17(float(ens.separation_time[i])))
         for k in range(tags):
-            row.append(_fmt(float(ens.tag_death[k, i])))
+            row.append(dumps17(float(ens.tag_death[k, i])))
             row.append(int(ens.tag_killed[k, i]))
         writer.writerow(row)
     return buf.getvalue()
@@ -186,8 +186,8 @@ def test_zeta_tag_csv_matches_rowwise_writer(tmp_path, monkeypatch,
     writer = csv.writer(buf)
     writer.writerow(["sample_id", "value", "trunc_bound", "killed"])
     for i in range(5000):
-        writer.writerow([i, _fmt(float(sample["value"][i])),
-                         _fmt(float(sample["bound"][i])),
+        writer.writerow([i, dumps17(float(sample["value"][i])),
+                         dumps17(float(sample["bound"][i])),
                          int(sample["killed"][i])])
     assert _table(out) == buf.getvalue()
 
@@ -240,6 +240,35 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
         argv = argv + ["--measure", uniform2]
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["fit", "--window", "a,b"], "ConfigError"),
+    (["fit", "--window", "1e-3"], "ConfigError"),
+    (["simulate", "--alpha", "-1", "--runs", "10", "--checkpoints", "1,x"],
+     "ConfigError"),
+    (["identity", "--suite", "s2", "--alpha", "-1", "--runs", "1000",
+      "--checkpoints", "1,x"], "ConfigError"),
+    (["zeta-tag", "--alpha", "-1", "--n", "10", "--tol", "0"], "ConfigError"),
+    (["zeta-tag", "--alpha", "-1", "--n", "10", "--tol", "nan"],
+     "ConfigError"),
+    (["hcheck", "--ngrid", "0"], "DomainError"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_malformed_options_fail_with_a_json_error(tmp_path, capsys, uniform2,
+                                                  argv, error):
+    if argv[0] == "fit":
+        samples = tmp_path / "samples.csv"
+        samples.write_text("extinction_est\n" + "1.0\n" * 200)
+        shape = tmp_path / "shape.json"
+        shape.write_text(json.dumps(
+            {"poly_exponent": 0.0, "exp_terms": [[1.0, 1.0]]}))
+        argv = argv + ["--samples", str(samples), "--shape", str(shape)]
+    else:
+        argv = argv + ["--measure", uniform2]
+    assert main(argv) == (2 if error == "ConfigError" else 1)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
 
 
 @pytest.mark.parametrize("only", ["99", "x", "1,99"])

@@ -207,16 +207,6 @@ def test_beta_gap_grid_agreement():
                     / abs(r.gamma_form) < 1e-8
 
 
-@pytest.mark.parametrize("spec", [M.make_identical(2), M.make_uniform(2),
-                                  M.make_beta(2.0, 3.0)])
-def test_largest_piece_exponent_tracks_phi(spec):
-    # binary conservative: |phi - phi_largest| <= (1/2)**x on [1, 60]
-    ev = PhiEvaluator(spec)
-    for x in np.linspace(1.0, 60.0, 13):
-        diff = abs(ev.phi(float(x)) - ev.phi_largest(float(x)))
-        assert diff <= 0.5 ** x + 1e-15
-
-
 def test_gammaln_diff_integer_offsets():
     # Gamma(y+2)/Gamma(y) = y (y+1) exactly
     for y in (0.3, 7.0, 49.0, 51.0, 1e6, 1e12):

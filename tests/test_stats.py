@@ -6,8 +6,8 @@ import pytest
 from fragtail.asymptotics import TailShape
 from fragtail.errors import ConfigError, InsufficientWindow
 from fragtail.simulate import _generator
-from fragtail.stats import (SurvivalCurve, ks_two_sample, moment_estimate,
-                            paired_mean_diff, shape_fit, survival_curve,
+from fragtail.stats import (SurvivalCurve, ks_two_sample, paired_mean_diff,
+                            shape_fit, survival_curve,
                             synthetic_tail_samples)
 
 
@@ -88,13 +88,6 @@ def test_shape_fit_window_guard():
     curve = survival_curve(np.linspace(0, 1, 200), np.linspace(0.2, 0.8, 4))
     with pytest.raises(InsufficientWindow):
         shape_fit(curve, SHAPE0, window=(1e-9, 1e-8))
-
-
-def test_moment_estimate():
-    est = moment_estimate(np.full(100, 0.5), 2.0)
-    assert est.mean == 0.25 and est.stderr == 0.0
-    with pytest.raises(ConfigError):
-        moment_estimate(np.ones(10), 0.0)
 
 
 def test_paired_mean_diff():
