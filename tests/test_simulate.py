@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -45,6 +46,83 @@ def test_replay_bit_identical():
     assert np.array_equal(a.zeta, b.zeta)
     assert np.array_equal(a.sum_squares, b.sum_squares)
     assert np.array_equal(a.separation_time, b.separation_time)
+
+
+def _digests(fields):
+    """(dtype, shape, leading 16 hex digits of the SHA-256 of the bytes) of
+    every field that is not None."""
+    out = {}
+    for name, value in fields.items():
+        if value is not None:
+            arr = np.ascontiguousarray(value)
+            out[name] = (str(arr.dtype), arr.shape,
+                         hashlib.sha256(arr.tobytes()).hexdigest()[:16])
+    return out
+
+
+_GOLDEN_RUNS = {
+    "uniform-2": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "af279d5a76a642b9"),
+        "trunc_error_bound": ("float64", (4396,), "6380d7af8eaf9bae"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "e7e84a0ab543508c"),
+        "largest": ("float64", (4396, 3), "991c5011d41f8dbb"),
+        "sum_masses": ("float64", (4396, 3), "ea8598e86c546a54"),
+        "sum_squares": ("float64", (4396, 3), "5d4853549c468768"),
+        "tag_mass": ("float64", (2, 4396, 3), "9ea21d54c9841f39"),
+        "tag_death": ("float64", (2, 4396), "702fb4c12ac7f8ee"),
+        "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
+        "separation_time": ("float64", (4396,), "805df64f61bc2355"),
+        "shared_splits": ("int64", (4396,), "eabd00566ebb81f6"),
+        "snapshot_run": ("int64", (10111,), "a41099340ee8e4c8"),
+        "snapshot_mass": ("float64", (10111,), "5c2db42349b20b03"),
+    },
+    "two-atom": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "9e3642e663d22688"),
+        "trunc_error_bound": ("float64", (4396,), "dfa381ea128aaaff"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "3623e7cef13022ff"),
+        "largest": ("float64", (4396, 3), "7ce5096ba261cbb3"),
+        "sum_masses": ("float64", (4396, 3), "cca3e1a49d2ac5ac"),
+        "sum_squares": ("float64", (4396, 3), "77e01c62d6c40d75"),
+        "tag_mass": ("float64", (2, 4396, 3), "a27a9d9580280555"),
+        "tag_death": ("float64", (2, 4396), "0ab554bc04ac7924"),
+        "tag_killed": ("bool", (2, 4396), "01db09d27965b304"),
+        "separation_time": ("float64", (4396,), "5f17d28027c6a010"),
+        "shared_splits": ("int64", (4396,), "b77cea39784e80b8"),
+        "snapshot_run": ("int64", (3124,), "bcabcfeafc258840"),
+        "snapshot_mass": ("float64", (3124,), "4452fbd8d90abe29"),
+    },
+}
+_GOLDEN_ZETA_TAG = {
+    "value": ("float64", (1000,), "113f495396d3c93f"),
+    "bound": ("float64", (1000,), "b6408a9409305995"),
+    "killed": ("bool", (1000,), "541b3e9daa09b20b"),
+}
+
+
+@pytest.mark.parametrize("label,spec", [
+    ("uniform-2", EX2),
+    ("two-atom", M.make_atomic([(1, (0.6, 0.3)), (2, (0.5, 0.5))])),
+])
+def test_replay_matches_frozen_digests(label, spec):
+    """The replay contract across versions: every result field of a
+    two-chunk ensemble, and one tagged-lineage draw, hash to the values
+    frozen under numpy 2.4.6.  A change that alters the random stream or
+    any arithmetic on it must re-freeze these digests and say so."""
+    cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -6,
+                        checkpoints=(0.5, 1.0, 2.0), seed=2024, tags=2,
+                        snapshot_time=1.0)
+    ens = run_ensemble(spec, cfg, CHUNK_RUNS + 300, workers=1)
+    assert _digests(vars(ens)) == _GOLDEN_RUNS[label]
+
+
+def test_zeta_tag_matches_frozen_digests():
+    # frozen with the ensembles above, under numpy 2.4.6
+    draw = sample_zeta_tag(EX2, -1.0, 1e-4, 1000, _generator(2024))
+    assert _digests(draw) == _GOLDEN_ZETA_TAG
 
 
 def test_worker_count_does_not_change_results():
