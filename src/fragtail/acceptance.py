@@ -35,7 +35,7 @@ from .measures import intrinsic_alpha
 from .simulate import (CascadeConfig, default_workers, run_ensemble,
                        sample_zeta_tag, _generator)
 from .stats import (ks_two_sample, paired_mean_diff, shape_fit,
-                    survival_curve, synthetic_tail_samples)
+                    survival_curve, survival_grid, synthetic_tail_samples)
 
 
 @dataclass
@@ -308,9 +308,9 @@ _EX1_SHAPE = TailShape(0.0, ((1.0, 1.0),))
 _EX2_SHAPE = TailShape(2.0, ((1.0, 1.0),))
 
 
-def _grid_from_samples(z, n_levels=16, lo=1.3e-3, hi=0.2):
-    levels = np.geomspace(hi, lo, n_levels)
-    return np.unique(np.quantile(z, 1.0 - levels))
+def _fit_curve(z):
+    """Survival of z at its quantiles for 16 levels from 0.2 to 1.3e-3."""
+    return survival_curve(z, survival_grid(z, 0.2, 1.3e-3, 16))
 
 
 def _big_ex1(ctx):
@@ -348,14 +348,14 @@ def criterion_11(ctx):
     """Survival-shape fits for the two finite families plus the synthetic
     discrimination control."""
     ens1 = _big_ex1(ctx)
-    curve1 = survival_curve(ens1.zeta, _grid_from_samples(ens1.zeta))
+    curve1 = _fit_curve(ens1.zeta)
     fit1 = shape_fit(curve1, _EX1_SHAPE)
     ens2 = _big_ex2(ctx)
-    curve2 = survival_curve(ens2.zeta, _grid_from_samples(ens2.zeta))
+    curve2 = _fit_curve(ens2.zeta)
     fit2 = shape_fit(curve2, _EX2_SHAPE)
     n_syn = len(ens2.zeta)
     syn = synthetic_tail_samples(_EX2_SHAPE, 3.0, n_syn, _generator(1111))
-    curve_s = survival_curve(syn, _grid_from_samples(syn))
+    curve_s = _fit_curve(syn)
     fit_good = shape_fit(curve_s, _EX2_SHAPE)
     fit_bad = shape_fit(curve_s, _EX1_SHAPE)
     ok = (fit1.max_abs_residual < 0.1 and fit2.max_abs_residual < 0.1
@@ -372,7 +372,7 @@ def criterion_12(ctx):
     """exp(t) * survival is nondecreasing within 95% bands and its plateau
     clears 1."""
     ens1 = _big_ex1(ctx)
-    curve = survival_curve(ens1.zeta, _grid_from_samples(ens1.zeta))
+    curve = _fit_curve(ens1.zeta)
     sel = (curve.p_hat >= 1e-3) & (curve.p_hat <= 0.2)
     t = curve.t_grid[sel]
     scaled = np.exp(t) * curve.p_hat[sel]

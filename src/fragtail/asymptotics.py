@@ -86,7 +86,6 @@ class ExpansionSpec:
 
     gamma: float
     terms: tuple = ()
-    epsilon: float = 0.5
     scale: float = 1.0
 
     def __post_init__(self):
@@ -94,8 +93,6 @@ class ExpansionSpec:
             raise ConfigError("leading index must be nonnegative")
         if not self.scale > 0.0:
             raise ConfigError("expansion scale must be positive")
-        if not self.epsilon > 0.0:
-            raise ConfigError("remainder exponent must be positive")
         object.__setattr__(self, "terms", _normalize_terms(self.terms))
 
     def value(self, x):
@@ -142,7 +139,6 @@ def expand_psi_over_x(exp):
     new_terms = tuple(
         (c / (onemg * c_big ** (g / onemg)), g / onemg) for c, g in exp.terms)
     return ExpansionSpec(gamma=g0 / onemg, terms=new_terms,
-                         epsilon=exp.epsilon / onemg,
                          scale=c_big ** (1.0 / onemg))
 
 
@@ -250,12 +246,11 @@ def phi_expansion(spec):
     fam = spec.family
     r = spec.scale
     if spec.variant == "atomic":
-        return ExpansionSpec(gamma=0.0, terms=(), epsilon=1.0,
-                             scale=total_mass(spec))
+        return ExpansionSpec(gamma=0.0, terms=(), scale=total_mass(spec))
     if fam == "uniform-k":
         k = spec.param("k")
         terms = ((2.0, 1.0),) if k == 2 else ()
-        return ExpansionSpec(gamma=0.0, terms=terms, epsilon=1.0, scale=r)
+        return ExpansionSpec(gamma=0.0, terms=terms, scale=r)
     if fam == "beta":
         a, b = sorted((spec.param("a"), spec.param("b")))
         terms = []
@@ -263,25 +258,23 @@ def phi_expansion(spec):
                         (math.exp(gammaln(a + b) - gammaln(a)), b)):
             if g <= 1.0 + 1e-12:
                 terms.append((coef, min(g, 1.0)))
-        return ExpansionSpec(gamma=0.0, terms=tuple(terms), epsilon=a,
-                             scale=r)
+        return ExpansionSpec(gamma=0.0, terms=tuple(terms), scale=r)
     if fam == "stable":
         g = spec.param("gamma")
         c1 = (1.0 - 1.0 / g) * (1.0 / g) / 2.0
         return ExpansionSpec(gamma=1.0 - 1.0 / g, terms=((c1, 1.0),),
-                             epsilon=1.0, scale=g * r)
+                             scale=g * r)
     if fam == "ford":
         a = spec.param("a")
         c1 = 1.5 * a * a - 4.5 * a + 2.0
-        return ExpansionSpec(gamma=a, terms=((c1, 1.0),), epsilon=1.0,
-                             scale=r)
+        return ExpansionSpec(gamma=a, terms=((c1, 1.0),), scale=r)
     if fam == "beta-splitting":
         beta = spec.param("beta")
         c1 = math.gamma(beta + 2.0) * float(rgamma(2.0 * beta + 3.0))
         c2 = (beta + 1.0) * (3.0 * beta + 4.0) / 2.0
         return ExpansionSpec(
             gamma=-beta - 1.0, terms=((c1, -beta - 1.0), (c2, 1.0)),
-            epsilon=1.0, scale=r)
+            scale=r)
     raise ConfigError(f"no expansion registered for family {fam!r}")
 
 

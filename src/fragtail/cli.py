@@ -29,7 +29,7 @@ from .asymptotics import (TailShape, default_t0, extinction_log_tail,
                           tail_shape_from_expansion)
 from .simulate import (CascadeConfig, default_workers, run_ensemble,
                        sample_zeta_tag, _generator)
-from .stats import shape_fit, survival_curve
+from .stats import shape_fit, survival_curve, survival_grid
 
 _CONFIG_EXIT = (ConfigError, UnsupportedSampling, OSError)
 _NUMERIC_EXIT = (DomainError, NumericalFailure, UncoveredRegion,
@@ -280,15 +280,17 @@ def _read_samples(path, column):
 def cmd_fit(args):
     lo, hi = _comma_list(args.window, "--window", count=2)
     samples = _read_samples(args.samples, args.column)
-    with open(args.shape) as fh:
-        shape_doc = json.load(fh)
-    shape = TailShape(
-        poly_exponent=float(shape_doc["poly_exponent"]),
-        exp_terms=tuple((float(c), float(p))
-                        for c, p in shape_doc["exp_terms"]))
-    levels = np.geomspace(hi, lo * 1.3, args.levels)
-    t_grid = np.unique(np.quantile(samples, 1.0 - levels))
-    curve = survival_curve(samples, t_grid)
+    try:
+        with open(args.shape) as fh:
+            shape_doc = json.load(fh)
+        shape = TailShape(
+            poly_exponent=float(shape_doc["poly_exponent"]),
+            exp_terms=tuple((float(c), float(p))
+                            for c, p in shape_doc["exp_terms"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad tail shape {args.shape!r}: {exc!r}") from exc
+    curve = survival_curve(
+        samples, survival_grid(samples, hi, lo * 1.3, args.levels))
     fit = shape_fit(curve, shape, window=(lo, hi))
     _emit({"fitted_constant": fit.fitted_constant,
            "max_abs_residual": fit.max_abs_residual,

@@ -43,6 +43,33 @@ def _stirling_tail(z):
             - 1.0 / 360.0) * w / z + 1.0 / (12.0 * z)
 
 
+def _switch(y, c, use_first, first, second):
+    """first(y, c) where the mask use_first(y, c) holds and second(y, c)
+    elsewhere, over the broadcast of y and c; a float for two scalars."""
+    y = np.asarray(y, dtype=float)
+    c = np.asarray(c, dtype=float)
+    y_b, c_b = np.broadcast_arrays(y, c)
+    out = np.empty(y_b.shape)
+    mask = use_first(y_b, c_b)
+    rest = ~mask
+    if mask.any():
+        out[mask] = first(y_b[mask], c_b[mask])
+    if rest.any():
+        out[rest] = second(y_b[rest], c_b[rest])
+    if np.ndim(y) == 0 and np.ndim(c) == 0:
+        return float(out)
+    return out
+
+
+def _below_stirling(y, c):
+    return (y < _STIRLING_SWITCH) | (y + c < _STIRLING_SWITCH)
+
+
+def _gammaln_diff_stirling(y, c):
+    return (c * np.log(y) + (y + c - 0.5) * np.log1p(c / y) - c
+            + _stirling_tail(y + c) - _stirling_tail(y))
+
+
 def gammaln_diff(y, c):
     """log Gamma(y+c) - log Gamma(y) without large-argument cancellation.
 
@@ -51,21 +78,19 @@ def gammaln_diff(y, c):
     y beyond ~1e4.  For y >= 50 the difference is assembled from terms that
     are each O(c log y).  Requires y > 0 and y + c > 0.
     """
-    y = np.asarray(y, dtype=float)
-    c = np.asarray(c, dtype=float)
-    y_b, c_b = np.broadcast_arrays(y, c)
-    out = np.empty(y_b.shape)
-    small = (y_b < _STIRLING_SWITCH) | (y_b + c_b < _STIRLING_SWITCH)
-    out[small] = gammaln(y_b[small] + c_b[small]) - gammaln(y_b[small])
-    big = ~small
-    if big.any():
-        yy, cc = y_b[big], c_b[big]
-        out[big] = (cc * np.log(yy)
-                    + (yy + cc - 0.5) * np.log1p(cc / yy) - cc
-                    + _stirling_tail(yy + cc) - _stirling_tail(yy))
-    if np.ndim(y) == 0 and np.ndim(c) == 0:
-        return float(out)
-    return out
+    return _switch(y, c, _below_stirling,
+                   lambda y, c: gammaln(y + c) - gammaln(y),
+                   _gammaln_diff_stirling)
+
+
+def _digamma_diff_stirling(y, c):
+    z = y + c
+
+    def jp(z):  # derivative of the Stirling remainder
+        w = 1.0 / (z * z)
+        return ((-1.0 / 252.0 * w + 1.0 / 120.0) * w - 1.0 / 12.0) * w
+
+    return np.log1p(c / y) + c / (2.0 * y * z) + jp(z) - jp(y)
 
 
 def digamma_diff(y, c):
@@ -76,26 +101,13 @@ def digamma_diff(y, c):
     y >= 50 the difference of the asymptotic expansions is summed term by
     term instead.  Requires y > 0 and y + c > 0.
     """
-    y = np.asarray(y, dtype=float)
-    c = np.asarray(c, dtype=float)
-    y_b, c_b = np.broadcast_arrays(y, c)
-    out = np.empty(y_b.shape)
-    small = (y_b < _STIRLING_SWITCH) | (y_b + c_b < _STIRLING_SWITCH)
-    out[small] = digamma(y_b[small] + c_b[small]) - digamma(y_b[small])
-    big = ~small
-    if big.any():
-        yy, cc = y_b[big], c_b[big]
-        zz = yy + cc
+    return _switch(y, c, _below_stirling,
+                   lambda y, c: digamma(y + c) - digamma(y),
+                   _digamma_diff_stirling)
 
-        def jp(z):  # derivative of the Stirling remainder
-            w = 1.0 / (z * z)
-            return ((-1.0 / 252.0 * w + 1.0 / 120.0) * w - 1.0 / 12.0) * w
 
-        out[big] = (np.log1p(cc / yy) + cc / (2.0 * yy * zz)
-                    + jp(zz) - jp(yy))
-    if np.ndim(y) == 0 and np.ndim(c) == 0:
-        return float(out)
-    return out
+def _safely_positive(base, c):
+    return (base > 0.5) & (base + c > 0.5)
 
 
 def _gamma_ratio(base, c):
@@ -109,62 +121,38 @@ def _gamma_ratio(base, c):
     because 1/Gamma is entire.  Callers keep |c| small, so the direct branch
     never overflows.
     """
-    base = np.asarray(base, dtype=float)
-    c = np.asarray(c, dtype=float)
-    bb, cb = np.broadcast_arrays(base, c)
-    out = np.empty(bb.shape)
-    safe = (bb > 0.5) & (bb + cb > 0.5)
-    out[safe] = np.exp(gammaln_diff(bb[safe], cb[safe]))
-    rest = ~safe
-    out[rest] = gamma_fn(bb[rest] + cb[rest]) * rgamma(bb[rest])
-    if np.ndim(base) == 0 and np.ndim(c) == 0:
-        return float(out)
-    return out
+    return _switch(base, c, _safely_positive,
+                   lambda b, c: np.exp(gammaln_diff(b, c)),
+                   lambda b, c: gamma_fn(b + c) * rgamma(b))
 
 
 _RGP_H = 3e-5
 
 
 def _rgamma_psi(z):
-    """digamma(z) / Gamma(z), an entire function.
+    """digamma(z) / Gamma(z), an entire function, on a 1-d array z.
 
     Away from the poles of Gamma the product digamma * rgamma is used; near
     a pole both factors blow up while the product stays finite, so there the
     identity d/dz rgamma(z) = -digamma(z) rgamma(z) is exploited through a
     central difference of the entire function rgamma.
     """
-    z = np.asarray(z, dtype=float)
     near_pole = (z < 0.25) & (np.abs(z - np.round(z)) < 0.05)
-    out = np.empty(z.shape if z.ndim else (1,))
-    zb = np.atleast_1d(z)
-    near_pole = np.atleast_1d(near_pole)
     ok = ~near_pole
-    out[ok] = digamma(zb[ok]) * rgamma(zb[ok])
-    if near_pole.any():
-        zp = zb[near_pole]
-        out[near_pole] = -(rgamma(zp + _RGP_H) - rgamma(zp - _RGP_H)) / (2 * _RGP_H)
-    if z.ndim == 0:
-        return float(out[0])
+    out = np.empty(z.shape)
+    out[ok] = digamma(z[ok]) * rgamma(z[ok])
+    zp = z[near_pole]
+    out[near_pole] = -(rgamma(zp + _RGP_H) - rgamma(zp - _RGP_H)) / (2 * _RGP_H)
     return out
 
 
 def _gamma_ratio_deriv(base, c):
     """d/dx [Gamma(x + c0 + c)/Gamma(x + c0)] at base = x + c0."""
-    base = np.asarray(base, dtype=float)
-    c = np.asarray(c, dtype=float)
-    bb, cb = np.broadcast_arrays(base, c)
-    out = np.empty(bb.shape)
-    safe = (bb > 0.5) & (bb + cb > 0.5)
-    out[safe] = (np.exp(gammaln_diff(bb[safe], cb[safe]))
-                 * digamma_diff(bb[safe], cb[safe]))
-    rest = ~safe
-    if rest.any():
-        br, cr = bb[rest], cb[rest]
-        pr = br + cr
-        out[rest] = gamma_fn(pr) * (digamma(pr) * rgamma(br) - _rgamma_psi(br))
-    if np.ndim(base) == 0 and np.ndim(c) == 0:
-        return float(out)
-    return out
+    return _switch(
+        base, c, _safely_positive,
+        lambda b, c: np.exp(gammaln_diff(b, c)) * digamma_diff(b, c),
+        lambda b, c: gamma_fn(b + c) * (digamma(b + c) * rgamma(b)
+                                        - _rgamma_psi(b)))
 
 
 @dataclass(frozen=True)
@@ -264,9 +252,15 @@ def _lgamma_gap_coeffs(y1, y2):
     return np.concatenate([higher, [digamma(y2) - digamma(y1), 0.0]])
 
 
-def _phi_beta(a, b, x):
+def _beta_moments(a, b, x):
+    """E[B**(x+1)] and E[(1-B)**(x+1)] for B ~ Beta(a, b)."""
     eb = np.exp(gammaln(a + b) - gammaln(a) - gammaln_diff(x + 1.0 + a, b))
     ec = np.exp(gammaln(a + b) - gammaln(b) - gammaln_diff(x + 1.0 + b, a))
+    return eb, ec
+
+
+def _phi_beta(a, b, x):
+    eb, ec = _beta_moments(a, b, x)
     out = np.asarray(1.0 - eb - ec)
     small = x < _BETA_SERIES_X
     if small.any():
@@ -282,8 +276,7 @@ def _phi_beta(a, b, x):
 
 
 def _dphi_beta(a, b, x):
-    eb = np.exp(gammaln(a + b) - gammaln(a) - gammaln_diff(x + 1.0 + a, b))
-    ec = np.exp(gammaln(a + b) - gammaln(b) - gammaln_diff(x + 1.0 + b, a))
+    eb, ec = _beta_moments(a, b, x)
     return (eb * digamma_diff(x + 1.0 + a, b)
             + ec * digamma_diff(x + 1.0 + b, a))
 
@@ -323,39 +316,54 @@ def _dphi_beta_splitting(beta, x):
     return _gamma_ratio_deriv(x + (2.0 * beta + 3.0), -beta - 1.0)
 
 
-def _closed_forms(spec):
-    """(phi, phi') callables for the unscaled measure, or None."""
-    fam = spec.family
-    if fam == "uniform-k":
-        k = spec.param("k")
-        return (lambda x: _phi_uniform(k, x)), (lambda x: _dphi_uniform(k, x))
-    if fam == "beta":
-        a, b = spec.param("a"), spec.param("b")
-        return (lambda x: _phi_beta(a, b, x)), (lambda x: _dphi_beta(a, b, x))
-    if fam == "stable":
-        g = spec.param("gamma")
-        return (lambda x: _phi_stable(g, x)), (lambda x: _dphi_stable(g, x))
-    if fam == "ford":
-        a = spec.param("a")
-        return (lambda x: _phi_ford(a, x)), (lambda x: _dphi_ford(a, x))
-    if fam == "beta-splitting":
-        b = spec.param("beta")
-        return (lambda x: _phi_beta_splitting(b, x)), \
-               (lambda x: _dphi_beta_splitting(b, x))
-    return None
+# family -> (parameter names, phi, phi') of the unscaled measure
+_CLOSED_FORMS = {
+    "uniform-k": (("k",), _phi_uniform, _dphi_uniform),
+    "beta": (("a", "b"), _phi_beta, _dphi_beta),
+    "stable": (("gamma",), _phi_stable, _dphi_stable),
+    "ford": (("a",), _phi_ford, _dphi_ford),
+    "beta-splitting": (("beta",), _phi_beta_splitting, _dphi_beta_splitting),
+}
+# families whose phi' meets a Gamma pole at 0 for some parameters
+_POLE_AT_ZERO = ("ford", "beta-splitting")
 
 
-def _analytic_dphi0(spec):
-    """phi'(0+) of the unscaled measure, where a stable closed form exists."""
-    fam = spec.family
-    if fam == "uniform-k":
-        return float(_dphi_uniform(spec.param("k"), 0.0))
-    if fam == "beta":
-        return float(_dphi_beta(spec.param("a"), spec.param("b"), 0.0))
-    if fam == "stable":
-        g = spec.param("gamma")
-        return g * math.exp(gammaln(1.0 - 1.0 / g))
-    return None  # ford / beta-splitting hit Gamma poles at 0 for some params
+def _atomic_phi(log_parts, weights, total, x):
+    return total - np.exp(np.multiply.outer(x + 1.0, log_parts)) @ weights
+
+
+def _atomic_dphi(log_parts, weights, x):
+    # the parts are added one at a time in a fixed order, not by a BLAS
+    # product, whose summation order may depend on how many points are
+    # evaluated together: a point's value must not depend on its batch
+    terms = (np.exp(np.multiply.outer(x + 1.0, log_parts))
+             * (weights * log_parts))
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return -total
+
+
+def _quad_phi(spec, derivative, x):
+    """Unscaled phi (or phi') of a binary-density spec at each point of x,
+    by tanh-sinh quadrature over the larger piece u in (1/2, 1); phi's
+    integrand is summed as -[u expm1(x log u) + (1-u) expm1(x log(1-u))],
+    two terms of one sign, so that it does not cancel as x -> 0."""
+
+    def one(xv):
+        def integrand(u, uma, bmx):
+            log_u = np.log1p(-bmx)
+            log_1mu = np.log(bmx)
+            f = split_density(spec, u, bmx)
+            if derivative:
+                return -(np.exp((xv + 1.0) * log_u) * log_u
+                         + np.exp((xv + 1.0) * log_1mu) * log_1mu) * f
+            return -(u * np.expm1(xv * log_u)
+                     + bmx * np.expm1(xv * log_1mu)) * f
+
+        return tanh_sinh(integrand, 0.5, 1.0, rel_tol=_QUAD_RTOL)[0]
+
+    return np.array([one(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -380,103 +388,64 @@ class RatioBoundReport:
 class PhiEvaluator:
     """Evaluates phi, phi', and derived quantities for one measure.
 
-    Immutable and shareable: all methods are pure functions of their
-    arguments.  ``method`` is one of ``atomic-sum``, ``closed-form``,
-    ``quadrature`` (the latter only for binary-density specs, mainly as an
-    independent cross-check of the closed forms).
+    ``method`` is one of ``atomic-sum`` (atomic specs), ``closed-form`` (the
+    log-gamma forms of the registry families) or ``quadrature`` (the
+    defining integral of a binary-density spec: the independent cross-check
+    of the closed forms, valid down to x = 0); ``auto`` picks atomic-sum for
+    atomic specs and closed-form otherwise.  The method is resolved once,
+    here, which binds the unscaled pair (phi, phi') that every later call
+    evaluates.  Immutable and shareable: all methods are pure functions of
+    their arguments.
     """
 
     def __init__(self, spec, method="auto"):
-        self.spec = spec
         if method == "auto":
-            if spec.variant == ATOMIC:
-                method = "atomic-sum"
-            else:
-                method = "closed-form"
-        if method == "atomic-sum" and spec.variant != ATOMIC:
-            raise DomainError("atomic-sum method needs an atomic spec")
-        if method == "quadrature" and spec.variant != BINARY_DENSITY:
-            raise DomainError("quadrature method needs a binary-density spec")
-        if method == "closed-form":
-            forms = _closed_forms(spec)
-            if forms is None:
-                if spec.variant == BINARY_DENSITY:
-                    method = "quadrature"
-                else:
-                    raise DomainError(
-                        f"no closed form registered for {spec.family!r}")
-            else:
-                self._phi_base, self._dphi_base = forms
-        self.method = method
+            method = "atomic-sum" if spec.variant == ATOMIC else "closed-form"
         if method == "atomic-sum":
+            if spec.variant != ATOMIC:
+                raise DomainError("atomic-sum method needs an atomic spec")
             _, parts_flat, _, sizes = atom_arrays(spec)
-            weights = np.repeat(
-                np.array([w for w, _ in spec.atoms]), sizes)
-            self._log_parts = np.log(parts_flat)
-            self._part_weights = weights
-            self._weight_total = math.fsum(w for w, _ in spec.atoms)
+            log_parts = np.log(parts_flat)
+            weights = np.repeat(np.array([w for w, _ in spec.atoms]), sizes)
+            total = math.fsum(w for w, _ in spec.atoms)
+            pair = (functools.partial(_atomic_phi, log_parts, weights, total),
+                    functools.partial(_atomic_dphi, log_parts, weights))
+        elif method == "quadrature":
+            if spec.variant != BINARY_DENSITY:
+                raise DomainError(
+                    "quadrature method needs a binary-density spec")
+            pair = (functools.partial(_quad_phi, spec, False),
+                    functools.partial(_quad_phi, spec, True))
+        elif method == "closed-form":
+            if spec.family not in _CLOSED_FORMS:
+                raise DomainError(
+                    f"no closed form registered for {spec.family!r}")
+            names, phi, dphi = _CLOSED_FORMS[spec.family]
+            params = [spec.param(name) for name in names]
+            pair = (functools.partial(phi, *params),
+                    functools.partial(dphi, *params))
+        else:
+            raise DomainError(f"unknown phi method {method!r}")
+        self.spec = spec
+        self.method = method
+        self._phi, self._dphi = pair
 
     # -- core evaluations ---------------------------------------------------
 
     def phi(self, x):
         """phi(x) for scalar or array x >= 0."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError("phi requires x >= 0")
-        scale = self.spec.scale
-        if self.method == "atomic-sum":
-            powered = np.exp(np.multiply.outer(x + 1.0, self._log_parts))
-            val = scale * (self._weight_total - powered @ self._part_weights)
-            return float(val) if x.ndim == 0 else val
-        if self.method == "closed-form":
-            val = scale * self._phi_base(x)
-            return float(val) if x.ndim == 0 else val
-        return self._quad_phi(x)
+        return self._scaled(self._phi, x, "phi")
 
     def phi_prime(self, x):
-        """phi'(x); analytic for atomic and closed-form specs, differentiated
-        under the integral for density specs."""
+        """phi'(x) for scalar or array x >= 0."""
+        return self._scaled(self._dphi, x, "phi_prime")
+
+    def _scaled(self, base, x, name):
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
-            raise DomainError("phi_prime requires x >= 0")
-        scale = self.spec.scale
-        if self.method == "atomic-sum":
-            # the parts are added one at a time in a fixed order, not by a
-            # BLAS product, whose summation order may depend on how many
-            # points are evaluated together: a point's value must not
-            # depend on its batch
-            terms = (np.exp(np.multiply.outer(x + 1.0, self._log_parts))
-                     * (self._part_weights * self._log_parts))
-            total = terms[..., 0]
-            for j in range(1, terms.shape[-1]):
-                total = total + terms[..., j]
-            val = -scale * total
-            return float(val) if x.ndim == 0 else val
-        if self.method == "closed-form":
-            val = scale * self._dphi_base(x)
-            return float(val) if x.ndim == 0 else val
-        return self._quad_phi(x, derivative=True)
-
-    def _quad_phi(self, x, derivative=False):
-        spec = self.spec
-
-        def one(xv):
-            def integrand(u, uma, bmx):
-                log_u = np.log1p(-bmx)
-                log_1mu = np.log(bmx)
-                f = split_density(spec, u, bmx)
-                if derivative:
-                    return -(np.exp((xv + 1.0) * log_u) * log_u
-                             + np.exp((xv + 1.0) * log_1mu) * log_1mu) * f
-                return (-np.expm1((xv + 1.0) * log_u)
-                        - np.exp((xv + 1.0) * log_1mu)) * f
-
-            val, err, _ = tanh_sinh(integrand, 0.5, 1.0, rel_tol=_QUAD_RTOL)
-            return spec.scale * val
-
-        if np.ndim(x) == 0:
-            return one(float(x))
-        return np.array([one(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
+            raise DomainError(f"{name} requires x >= 0")
+        val = self.spec.scale * base(x)
+        return float(val) if x.ndim == 0 else val
 
     # -- derived quantities --------------------------------------------------
 
@@ -489,15 +458,9 @@ class PhiEvaluator:
         phi0 = self.phi(1e-12)  # phi(0) for conservative specs is exactly 0
         if self.phi(0.0) > 1e-12 * max(1.0, phi0):
             return 0.0
-        dphi0 = None
-        if self.method == "atomic-sum":
-            dphi0 = self.phi_prime(0.0)
-        elif self.method == "closed-form":
-            base = _analytic_dphi0(self.spec)
-            if base is not None:
-                dphi0 = self.spec.scale * base
-        if dphi0 is not None:
-            return 1.0 / dphi0
+        if (self.method != "quadrature"
+                and self.spec.family not in _POLE_AT_ZERO):
+            return 1.0 / self.phi_prime(0.0)
         # Richardson limit of x/phi(x); error O(h^2)
         h = 1e-6
         r1 = h / self.phi(h)

@@ -67,17 +67,15 @@ def _generator(seed):
 
 
 def _pow(x, p):
-    """x**p with fast paths for the exponents the acceptance work uses."""
+    """x**p, with cheaper or frozen forms: numpy's general power copies at
+    p = 1 and is slower than 1/x at p = -1, and at p = -1/2 and -2 it rounds
+    differently from the reciprocals the replay digests were frozen with."""
     if p == 1.0:
         return x
     if p == -1.0:
         return 1.0 / x
-    if p == 0.5:
-        return np.sqrt(x)
     if p == -0.5:
         return 1.0 / np.sqrt(x)
-    if p == 2.0:
-        return x * x
     if p == -2.0:
         return 1.0 / (x * x)
     return x ** p
@@ -110,8 +108,9 @@ class CascadeConfig:
         if not 0.0 < self.cutoff < 1.0:
             raise ConfigError("dust cutoff must lie in (0, 1)")
         cps = tuple(float(t) for t in self.checkpoints)
-        if any(cps[i] > cps[i + 1] for i in range(len(cps) - 1)):
-            raise ConfigError("checkpoints must be sorted ascending")
+        if not all(map(math.isfinite, cps)) or any(
+                cps[i] > cps[i + 1] for i in range(len(cps) - 1)):
+            raise ConfigError(f"checkpoints must be finite and sorted: {cps}")
         if self.tags not in (0, 1, 2):
             raise ConfigError("tags must be 0, 1 or 2")
         object.__setattr__(self, "checkpoints", cps)
@@ -209,11 +208,9 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             truncated |= newly_over
             keep_rows = ~truncated[run]
             new_idx = np.cumsum(keep_rows) - 1
-            for k in range(ntags):
-                active = tag_row[k] >= 0
-                rows = tag_row[k, active]
-                tag_row[k, active] = np.where(keep_rows[rows],
-                                              new_idx[rows], -1)
+            carried = tag_row >= 0
+            rows = tag_row[carried]
+            tag_row[carried] = np.where(keep_rows[rows], new_idx[rows], -1)
             run, mass, birth = run[keep_rows], mass[keep_rows], birth[keep_rows]
             m = run.size
             if m == 0:
@@ -253,15 +250,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                     # ranges, so the flattened keys are NOT sorted; use the
                     # unordered scatter-max
                     np.maximum.at(F1.ravel(), key, mass_rep)
-        for k in range(ntags):
-            runs_t = np.flatnonzero(tag_row[k] >= 0)
-            if runs_t.size == 0 or ncp == 0:
-                continue
-            rows = tag_row[k, runs_t]
-            for j in range(ncp):
-                ok = (birth[rows] <= cps[j]) & (cps[j] < death[rows])
-                if ok.any():
-                    tag_mass[k, runs_t[ok], j] = mass[rows[ok]]
         if cfg.snapshot_time is not None:
             t = cfg.snapshot_time
             alive = (birth <= t) & (t < death)
@@ -273,17 +261,14 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         # and fall straight into the dust ledger)
         if binary:
             s1 = np.asarray(split_icdf(spec, rng.random(m)))
-            n_child = 2 * m
-            child_mass = np.empty(n_child)
+            child_mass = np.empty(2 * m)
             child_mass[0::2] = mass * s1
             child_mass[1::2] = mass * (1.0 - s1)
             child_run = np.repeat(run, 2)
             child_birth = np.repeat(death, 2)
             child_starts = 2 * np.arange(m, dtype=np.int64)
-            child_counts = None
         elif single_atom:
             k_parts = len(atom_parts)
-            n_child = k_parts * m
             child_frac = np.tile(atom_parts, m)
             child_mass = np.repeat(mass, k_parts) * child_frac
             child_run = np.repeat(run, k_parts)
@@ -292,7 +277,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             child_counts = np.full(m, k_parts, dtype=np.int64)
         else:
             atom_idx = np.searchsorted(cum_w, rng.random(m), side="right")
-            atom_idx = np.minimum(atom_idx, len(sizes) - 1)
             child_counts = sizes[atom_idx]
             cum_counts = np.cumsum(child_counts)
             n_child = int(cum_counts[-1])
@@ -305,69 +289,51 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             child_run = np.repeat(run, child_counts)
             child_birth = np.repeat(death, child_counts)
 
-        # tag routing: each resident tag independently picks child i with
-        # probability equal to its relative mass, the dust residual
-        # otherwise (sentinel -1); -2 marks runs without the tag
-        chosen = np.full((ntags, n_runs), -2, dtype=np.int64)
-        frac_cum = None
-        for k in range(ntags):
-            runs_t = np.flatnonzero(tag_row[k] >= 0)
-            if runs_t.size == 0:
-                continue
-            rows = tag_row[k, runs_t]
-            r = rng.random(rows.size)
-            if binary:
-                child_idx = child_starts[rows] + (r >= s1[rows])
-            else:
-                if frac_cum is None:
-                    frac_cum = np.cumsum(child_frac)
-                seg_first = child_starts[rows]
-                base = frac_cum[seg_first] - child_frac[seg_first]
-                child_idx = np.searchsorted(frac_cum, base + r, side="right")
-                seg_end = child_starts[rows] + child_counts[rows]
-                child_idx = np.where(child_idx >= seg_end, -1, child_idx)
-            chosen[k, runs_t] = child_idx
-
         keep = child_mass >= eps
-        if ntags == 2:
-            both_runs = np.flatnonzero(
-                (tag_row[0] >= 0) & (tag_row[0] == tag_row[1]))
-            if both_runs.size:
-                shared[both_runs] += 1
-                c0 = chosen[0, both_runs]
-                c1 = chosen[1, both_runs]
-                # the tags part here unless both ride on into one child
-                # that stays above the cutoff (keep[-1] is read for dust
-                # routing but never decides: c0 == -1 already separates)
-                sep = (c0 != c1) | (c0 == -1) | ~keep[c0]
-                sep_runs = both_runs[sep]
-                t_sep[sep_runs] = death[tag_row[0, sep_runs]]
-
-        n_keep = int(np.count_nonzero(keep))
-        if n_keep != n_child:
+        if not keep.all():
             dust = ~keep
             trunc += np.bincount(child_run[dust],
                                  weights=_pow(child_mass[dust], abs_alpha),
                                  minlength=n_runs)
-        new_index = np.cumsum(keep) - 1 if ntags else None
 
+        # each tag records its row's checkpoint masses, then picks child i
+        # with probability equal to its relative mass (the dust residual
+        # otherwise) and dies unless that child stays above the cutoff
+        if ntags == 2:
+            both_runs = np.flatnonzero(
+                (tag_row[0] >= 0) & (tag_row[0] == tag_row[1]))
+            shared[both_runs] += 1
+            both_parent = tag_row[0, both_runs]
+        if ntags:
+            new_index = np.cumsum(keep) - 1
+            frac_cum = None if binary else np.cumsum(child_frac)
         for k in range(ntags):
             runs_t = np.flatnonzero(tag_row[k] >= 0)
-            if runs_t.size == 0:
-                continue
-            c = chosen[k, runs_t]
-            routed_dust = c == -1
-            survives = np.zeros(runs_t.size, dtype=bool)
-            ok = ~routed_dust
-            survives[ok] = keep[c[ok]]
-            died = ~survives
-            if died.any():
-                parent_rows = tag_row[k, runs_t[died]]
-                tag_death[k, runs_t[died]] = death[parent_rows]
-                tag_killed[k, runs_t[died]] = routed_dust[died]
-                tag_row[k, runs_t[died]] = -1
-            if survives.any():
-                tag_row[k, runs_t[survives]] = new_index[c[survives]]
+            rows = tag_row[k, runs_t]
+            alive = (birth[rows, None] <= cps) & (cps < death[rows, None])
+            at, j = np.nonzero(alive)
+            tag_mass[k, runs_t[at], j] = mass[rows[at]]
+            r = rng.random(rows.size)
+            if binary:
+                child = child_starts[rows] + (r >= s1[rows])
+                to_dust = np.zeros(rows.size, dtype=bool)
+            else:
+                seg_first = child_starts[rows]
+                base = frac_cum[seg_first] - child_frac[seg_first]
+                child = np.searchsorted(frac_cum, base + r, side="right")
+                to_dust = child >= seg_first + child_counts[rows]
+            survives = ~to_dust
+            survives[survives] = keep[child[survives]]
+            lost = ~survives
+            tag_death[k, runs_t[lost]] = death[rows[lost]]
+            tag_killed[k, runs_t[lost]] = to_dust[lost]
+            tag_row[k, runs_t] = -1
+            tag_row[k, runs_t[survives]] = new_index[child[survives]]
+        if ntags == 2:
+            # the tags part here unless both ride on into one kept child
+            parted = (tag_row[0, both_runs] < 0) | (
+                tag_row[0, both_runs] != tag_row[1, both_runs])
+            t_sep[both_runs[parted]] = death[both_parent[parted]]
 
         run = child_run[keep]
         mass = child_mass[keep]
@@ -479,6 +445,8 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
         raise ConfigError("tagged lineage needs a negative index")
     if not tol > 0.0:
         raise ConfigError(f"stop tolerance must be positive, got {tol}")
+    if n <= 0:
+        raise ConfigError(f"need a positive number of samples, got {n}")
     if spec.variant not in (ATOMIC, BINARY_DENSITY):
         raise UnsupportedSampling(
             f"family {spec.family!r} cannot be sampled")
@@ -512,7 +480,6 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
                 atom_idx = np.zeros(k, dtype=np.int64)
             else:
                 atom_idx = np.searchsorted(cum_w, rng.random(k), side="right")
-                atom_idx = np.minimum(atom_idx, len(sizes) - 1)
             r = rng.random(k)
             first = offsets[atom_idx]
             base = parts_cum[first] - parts_flat[first]
@@ -575,7 +542,6 @@ def reference_cascade(spec, alpha, cutoff, seed, max_nodes=2 ** 22):
                 j = 0
             else:
                 j = int(np.searchsorted(cum_w, rng.random(), side="right"))
-                j = min(j, len(sizes) - 1)
             parts = tuple(parts_flat[offsets[j]:offsets[j] + sizes[j]])
         records.append(NodeRecord(mass=mass, birth=birth, death=death,
                                   depth=depth))

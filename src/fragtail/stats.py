@@ -45,6 +45,12 @@ def survival_curve(samples, t_grid):
     return SurvivalCurve(t_grid=t_grid, p_hat=p_hat, ci_half=ci_half, n=n)
 
 
+def survival_grid(samples, hi, lo, n):
+    """The sorted distinct sample quantiles at the n survival levels
+    geomspace(hi, lo, n): a t grid for :func:`survival_curve`."""
+    return np.unique(np.quantile(samples, 1.0 - np.geomspace(hi, lo, n)))
+
+
 @dataclass(frozen=True)
 class ShapeFit:
     """Least-squares constant fit of a tail shape to a survival curve.

@@ -247,11 +247,15 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
     (["fit", "--window", "1e-3"], "ConfigError"),
     (["simulate", "--alpha", "-1", "--runs", "10", "--checkpoints", "1,x"],
      "ConfigError"),
+    (["simulate", "--alpha", "-1", "--runs", "10", "--checkpoints", "nan,1"],
+     "ConfigError"),
     (["identity", "--suite", "s2", "--alpha", "-1", "--runs", "1000",
       "--checkpoints", "1,x"], "ConfigError"),
     (["zeta-tag", "--alpha", "-1", "--n", "10", "--tol", "0"], "ConfigError"),
     (["zeta-tag", "--alpha", "-1", "--n", "10", "--tol", "nan"],
      "ConfigError"),
+    (["zeta-tag", "--alpha", "-1", "--n", "-1"], "ConfigError"),
+    (["zeta-tag", "--alpha", "-1", "--n", "0"], "ConfigError"),
     (["hcheck", "--ngrid", "0"], "DomainError"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_malformed_options_fail_with_a_json_error(tmp_path, capsys, uniform2,
@@ -269,6 +273,21 @@ def test_malformed_options_fail_with_a_json_error(tmp_path, capsys, uniform2,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == error
+
+
+@pytest.mark.parametrize("shape_text", ["", '{"exp_terms": [[1.0, 1.0]]}'],
+                         ids=["empty", "no-poly-exponent"])
+def test_unreadable_fit_shape_is_a_config_error(tmp_path, capsys,
+                                                shape_text):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("extinction_est\n" + "1.0\n" * 200)
+    shape = tmp_path / "shape.json"
+    shape.write_text(shape_text)
+    assert main(["fit", "--samples", str(samples),
+                 "--shape", str(shape)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("only", ["99", "x", "1,99"])

@@ -112,6 +112,18 @@ def test_closed_form_matches_quadrature(spec):
         assert abs(c - q) / abs(c) < 1e-7
 
 
+@pytest.mark.parametrize("spec", [M.make_uniform(2), M.make_beta(2.0, 3.0),
+                                  M.make_beta(0.8, 0.9),
+                                  M.make_beta(10.0, 0.2)])
+def test_quadrature_reaches_zero(spec):
+    # the integrand is summed as two terms of one sign, so it does not
+    # cancel as x -> 0 and the quadrature route has its own x_psi
+    quad = PhiEvaluator(spec, method="quadrature")
+    assert quad.phi(0.0) == 0.0
+    closed = PhiEvaluator(spec, method="closed-form").x_psi()
+    assert abs(quad.x_psi() - closed) <= 1e-12 * closed
+
+
 @pytest.mark.parametrize("spec", ALL_FAMILIES)
 def test_monotonicity_and_concavity_ratio(spec):
     # atomic exponents saturate at the total rate once the largest part to

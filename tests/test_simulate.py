@@ -27,6 +27,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CascadeConfig(alpha=-1.0, checkpoints=(2.0, 1.0))
     with pytest.raises(ConfigError):
+        CascadeConfig(alpha=-1.0, checkpoints=(math.nan, 1.0))
+    with pytest.raises(ConfigError):
         CascadeConfig(alpha=-1.0, tags=3)
 
 
