@@ -247,7 +247,7 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
     (["fit", "--window", "1e-3"], "ConfigError"),
     (["simulate", "--alpha", "-1", "--runs", "10", "--checkpoints", "1,x"],
      "ConfigError"),
-    (["simulate", "--alpha", "-1", "--runs", "10", "--checkpoints", "nan,1"],
+    (["simulate", "--checkpoints", "nan,1", "--alpha", "-1", "--runs", "10"],
      "ConfigError"),
     (["identity", "--suite", "s2", "--alpha", "-1", "--runs", "1000",
       "--checkpoints", "1,x"], "ConfigError"),
