@@ -229,10 +229,8 @@ def cmd_simulate(args):
               "checkpoints": list(checkpoints), "seed": args.seed,
               "tags": args.tags, "max_events": args.max_events,
               "workers": args.workers or default_workers()}
-    cols = ["run_id", "extinction_est", "trunc_error_bound", "truncated",
-            "first_event"]
-    data = [np.arange(ens.n_runs), ens.zeta, ens.trunc_error_bound,
-            ens.truncated, ens.first_event]
+    cols = ["run_id", "extinction_est", "truncated", "first_event"]
+    data = [np.arange(ens.n_runs), ens.zeta, ens.truncated, ens.first_event]
     for j, t in enumerate(checkpoints):
         cols += [f"F1_t{t:g}", f"S1_t{t:g}", f"S2_t{t:g}"]
         data += [ens.largest[:, j], ens.sum_masses[:, j],

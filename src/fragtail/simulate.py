@@ -3,12 +3,8 @@
 A fragment of mass m waits an exponential time with rate
 ``total_rate * m**alpha`` (alpha < 0: small fragments split faster), then
 splits according to the normalized dislocation measure.  Children below the
-dust cutoff leave the system.  Each run reports ``trunc_error_bound``, the
-sum over its dust fragments of m**|alpha| times 1/phi(|alpha|), the mean
-extinction time of a *tagged* unit-mass fragment.  It is not a bound on the
-cutoff bias of the extinction time, since a dust fragment would restart a
-whole cascade: for conservative measures at |alpha| = 1 all mass ends in
-dust, and it reads 1/phi(1) in every run that is not truncated.
+dust cutoff leave the system, so each run's extinction time is the estimate
+at that cutoff and is biased low.
 
 Two engines implement the same law:
 
@@ -67,11 +63,11 @@ def _generator(seed):
 
 
 def _pow(x, p):
-    """x**p, with cheaper or frozen forms: numpy's general power copies at
-    p = 1 and is slower than 1/x at p = -1, and at p = -1/2 and -2 it rounds
-    differently from the reciprocals the replay digests were frozen with."""
-    if p == 1.0:
-        return x
+    """x**p, with cheaper or frozen forms: numpy's general power is slower
+    than 1/x at p = -1, and at p = -1/2 it rounds differently from the
+    reciprocal square root the alpha = -1/2 replay digests were frozen with.
+    The p = -2 reciprocal keeps the form of earlier versions; no frozen
+    digest runs at alpha = -2."""
     if p == -1.0:
         return 1.0 / x
     if p == -0.5:
@@ -81,15 +77,32 @@ def _pow(x, p):
     return x ** p
 
 
+def _part_cum(spec):
+    """(atoms, most parts) table of each atom's own cumulative parts, padded
+    with +inf, for size-biased part picks."""
+    table = np.full((len(spec.atoms), max(len(p) for _, p in spec.atoms)),
+                    np.inf)
+    for row, (_, parts) in zip(table, spec.atoms):
+        row[:len(parts)] = np.cumsum(parts)
+    return table
+
+
+def _pick_part(part_cum, atom, r):
+    """Part count(r >= row) of each pick's atom row; the atom's size means
+    the dust residual.  Summing within one atom keeps r < 1 from rounding
+    up into the next part, as a cumsum across atoms or fragments would."""
+    return np.count_nonzero(r[:, None] >= part_cum[atom], axis=1)
+
+
 @dataclass(frozen=True)
 class CascadeConfig:
     """Simulation configuration.
 
-    ``cutoff`` is the dust threshold: children below it leave the system
-    and enter the truncation ledger.  Binary conservative measures keep
-    total mass 1 until the cutoff bites, so the event count per run grows
-    like 2/cutoff; the safety cap ``max_events`` turns a runaway
-    configuration into a flagged truncated run instead of a hang.
+    ``cutoff`` is the dust threshold: children below it leave the system.
+    Binary conservative measures keep total mass 1 until the cutoff bites,
+    so the event count per run grows like 2/cutoff; the safety cap
+    ``max_events`` turns a runaway configuration into a flagged truncated
+    run instead of a hang.
     """
 
     alpha: float
@@ -122,7 +135,6 @@ class EnsembleResult:
 
     checkpoints: tuple
     zeta: np.ndarray
-    trunc_error_bound: np.ndarray
     truncated: np.ndarray
     first_event: np.ndarray
     largest: np.ndarray = None       # (n, ncp)
@@ -163,7 +175,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     level regardless of frontier width.
     """
     alpha = cfg.alpha
-    abs_alpha = -alpha
     eps = cfg.cutoff
     cps = np.asarray(cfg.checkpoints, dtype=float)
     ncp = len(cps)
@@ -175,11 +186,11 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             f"family {spec.family!r} cannot be simulated (infinite rate)")
     if not binary:
         cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
+        part_cum = _part_cum(spec)
         single_atom = len(sizes) == 1
         atom_parts = parts_flat[:sizes[0]] if single_atom else None
 
     zeta = np.zeros(n_runs)
-    trunc = np.zeros(n_runs)
     truncated = np.zeros(n_runs, dtype=bool)
     first_event = np.full(n_runs, np.nan)
     n_events = np.zeros(n_runs, dtype=np.int64)
@@ -258,7 +269,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                 snap_masses.append(mass[alive].copy())
 
         # children (zero-mass children are possible at density endpoints
-        # and fall straight into the dust ledger)
+        # and fall straight below the cutoff)
         if binary:
             s1 = np.asarray(split_icdf(spec, rng.random(m)))
             child_mass = np.empty(2 * m)
@@ -266,15 +277,11 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             child_mass[1::2] = mass * (1.0 - s1)
             child_run = np.repeat(run, 2)
             child_birth = np.repeat(death, 2)
-            child_starts = 2 * np.arange(m, dtype=np.int64)
         elif single_atom:
             k_parts = len(atom_parts)
-            child_frac = np.tile(atom_parts, m)
-            child_mass = np.repeat(mass, k_parts) * child_frac
+            child_mass = np.repeat(mass, k_parts) * np.tile(atom_parts, m)
             child_run = np.repeat(run, k_parts)
             child_birth = np.repeat(death, k_parts)
-            child_starts = k_parts * np.arange(m, dtype=np.int64)
-            child_counts = np.full(m, k_parts, dtype=np.int64)
         else:
             atom_idx = np.searchsorted(cum_w, rng.random(m), side="right")
             child_counts = sizes[atom_idx]
@@ -284,17 +291,11 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             within = np.arange(n_child, dtype=np.int64) \
                 - np.repeat(child_starts, child_counts)
             part_idx = np.repeat(offsets[atom_idx], child_counts) + within
-            child_frac = parts_flat[part_idx]
-            child_mass = np.repeat(mass, child_counts) * child_frac
+            child_mass = np.repeat(mass, child_counts) * parts_flat[part_idx]
             child_run = np.repeat(run, child_counts)
             child_birth = np.repeat(death, child_counts)
 
         keep = child_mass >= eps
-        if not keep.all():
-            dust = ~keep
-            trunc += np.bincount(child_run[dust],
-                                 weights=_pow(child_mass[dust], abs_alpha),
-                                 minlength=n_runs)
 
         # each tag records its row's checkpoint masses, then picks child i
         # with probability equal to its relative mass (the dust residual
@@ -306,7 +307,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             both_parent = tag_row[0, both_runs]
         if ntags:
             new_index = np.cumsum(keep) - 1
-            frac_cum = None if binary else np.cumsum(child_frac)
         for k in range(ntags):
             runs_t = np.flatnonzero(tag_row[k] >= 0)
             rows = tag_row[k, runs_t]
@@ -315,13 +315,14 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             tag_mass[k, runs_t[at], j] = mass[rows[at]]
             r = rng.random(rows.size)
             if binary:
-                child = child_starts[rows] + (r >= s1[rows])
+                child = 2 * rows + (r >= s1[rows])
                 to_dust = np.zeros(rows.size, dtype=bool)
             else:
-                seg_first = child_starts[rows]
-                base = frac_cum[seg_first] - child_frac[seg_first]
-                child = np.searchsorted(frac_cum, base + r, side="right")
-                to_dust = child >= seg_first + child_counts[rows]
+                atom = 0 if single_atom else atom_idx[rows]
+                part = _pick_part(part_cum, atom, r)
+                child = part + (k_parts * rows if single_atom
+                                else child_starts[rows])
+                to_dust = part == sizes[atom]
             survives = ~to_dust
             survives[survives] = keep[child[survives]]
             lost = ~survives
@@ -340,10 +341,8 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         birth = child_birth[keep]
         level += 1
 
-    inv_phi = 1.0 / PhiEvaluator(spec).phi(abs_alpha)
     return {
         "zeta": zeta,
-        "trunc_error_bound": trunc * inv_phi,
         "truncated": truncated,
         "first_event": first_event,
         "largest": F1,
@@ -456,7 +455,7 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
     binary = spec.variant == BINARY_DENSITY
     if not binary:
         cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
-        parts_cum = np.cumsum(parts_flat)
+        part_cum = _part_cum(spec)
 
     m = np.ones(n)
     acc = np.zeros(n)
@@ -480,13 +479,10 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
                 atom_idx = np.zeros(k, dtype=np.int64)
             else:
                 atom_idx = np.searchsorted(cum_w, rng.random(k), side="right")
-            r = rng.random(k)
-            first = offsets[atom_idx]
-            base = parts_cum[first] - parts_flat[first]
-            pos = np.searchsorted(parts_cum, base + r, side="right")
-            died_dust = pos >= offsets[atom_idx] + sizes[atom_idx]
+            part = _pick_part(part_cum, atom_idx, rng.random(k))
+            died_dust = part == sizes[atom_idx]
             frac = np.where(died_dust, 1.0, parts_flat[np.minimum(
-                pos, len(parts_flat) - 1)])
+                offsets[atom_idx] + part, len(parts_flat) - 1)])
         m[active] = m[active] * frac
         idx_killed = active[died_dust]
         killed[idx_killed] = True

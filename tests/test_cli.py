@@ -94,16 +94,15 @@ def test_simulate_replay_byte_identical(tmp_path, uniform2):
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[1]
-    assert header.split(",")[:3] == ["run_id", "extinction_est",
-                                     "trunc_error_bound"]
+    assert header.split(",")[:4] == ["run_id", "extinction_est",
+                                     "truncated", "first_event"]
 
 
 def _rowwise_simulate_rows(ens, checkpoints, tags):
     """The simulate table written row by row through ``csv.writer``."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    cols = ["run_id", "extinction_est", "trunc_error_bound", "truncated",
-            "first_event"]
+    cols = ["run_id", "extinction_est", "truncated", "first_event"]
     for t in checkpoints:
         cols += [f"F1_t{t:g}", f"S1_t{t:g}", f"S2_t{t:g}"]
         cols += [f"tag{k + 1}_t{t:g}" for k in range(tags)]
@@ -113,9 +112,8 @@ def _rowwise_simulate_rows(ens, checkpoints, tags):
         cols += [f"tag{k + 1}_death", f"tag{k + 1}_killed"]
     writer.writerow(cols)
     for i in range(ens.n_runs):
-        row = [i, dumps17(float(ens.zeta[i])),
-               dumps17(float(ens.trunc_error_bound[i])),
-               int(ens.truncated[i]), dumps17(float(ens.first_event[i]))]
+        row = [i, dumps17(float(ens.zeta[i])), int(ens.truncated[i]),
+               dumps17(float(ens.first_event[i]))]
         for j in range(len(checkpoints)):
             row.append(dumps17(float(ens.largest[i, j])))
             row.append(dumps17(float(ens.sum_masses[i, j])))

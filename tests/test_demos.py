@@ -1,14 +1,19 @@
-"""Every name a demo imports from fragtail still exists.
+"""Every name a demo imports from fragtail still exists, and every result
+field a demo reads off an ensemble is one.
 
-The demos are not run here (they take minutes); their import statements are
-read from the syntax tree and resolved the way ``from m import n`` does.
+The demos are not run here (they take minutes); their import statements and
+attribute reads are taken from the syntax tree, imports resolved the way
+``from m import n`` does.
 """
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
 import pytest
+
+from fragtail.simulate import EnsembleResult
 
 DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos")
                .glob("*.py"))
@@ -37,3 +42,31 @@ def test_demo_imports_resolve(path):
             for alias in node.names:
                 assert _resolves(node.module, alias.name), \
                     f"{path.name}: from {node.module} import {alias.name}"
+
+
+def _is_run_ensemble_call(node):
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+    return name == "run_ensemble"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_ensemble_reads_exist(path):
+    # names bound to a run_ensemble(...) call anywhere in the demo; every
+    # attribute read off them must be an EnsembleResult field or property
+    tree = ast.parse(path.read_text(), filename=str(path))
+    ensembles = {target.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and _is_run_ensemble_call(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    known = {f.name for f in dataclasses.fields(EnsembleResult)} | {
+        name for name, value in vars(EnsembleResult).items()
+        if isinstance(value, property)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ensembles):
+            assert node.attr in known, \
+                f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"

@@ -8,10 +8,9 @@ import pytest
 from fragtail import measures as M
 from fragtail.acceptance import two_tag_identities
 from fragtail.errors import ConfigError, UnsupportedSampling
-from fragtail.laplace import PhiEvaluator
 from fragtail.simulate import (CHUNK_RUNS, CascadeConfig, _generator,
-                               extinction_from_records, mix_seed,
-                               reference_cascade, run_ensemble,
+                               _simulate_chunk, extinction_from_records,
+                               mix_seed, reference_cascade, run_ensemble,
                                sample_zeta_tag)
 from fragtail.stats import ks_two_sample
 
@@ -66,7 +65,6 @@ _GOLDEN_RUNS = {
     "uniform-2": {
         "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
         "zeta": ("float64", (4396,), "af279d5a76a642b9"),
-        "trunc_error_bound": ("float64", (4396,), "6380d7af8eaf9bae"),
         "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
         "first_event": ("float64", (4396,), "e7e84a0ab543508c"),
         "largest": ("float64", (4396, 3), "991c5011d41f8dbb"),
@@ -83,7 +81,6 @@ _GOLDEN_RUNS = {
     "two-atom": {
         "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
         "zeta": ("float64", (4396,), "9e3642e663d22688"),
-        "trunc_error_bound": ("float64", (4396,), "dfa381ea128aaaff"),
         "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
         "first_event": ("float64", (4396,), "3623e7cef13022ff"),
         "largest": ("float64", (4396, 3), "7ce5096ba261cbb3"),
@@ -98,10 +95,53 @@ _GOLDEN_RUNS = {
         "snapshot_mass": ("float64", (3124,), "4452fbd8d90abe29"),
     },
 }
+# the same ensembles at alpha = -1/2, where the waiting-time rates take
+# the reciprocal-square-root form of ``_pow``
+_GOLDEN_RUNS_HALF = {
+    "uniform-2": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "3bf7d24ec8700cf1"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "e7e84a0ab543508c"),
+        "largest": ("float64", (4396, 3), "41388fffdd3bae2c"),
+        "sum_masses": ("float64", (4396, 3), "a2e496a181d7e84a"),
+        "sum_squares": ("float64", (4396, 3), "50ecfaf30b0421f5"),
+        "tag_mass": ("float64", (2, 4396, 3), "b7839cea55b8e4e8"),
+        "tag_death": ("float64", (2, 4396), "20f0793177232694"),
+        "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
+        "separation_time": ("float64", (4396,), "7b81e53d2f7f030e"),
+        "shared_splits": ("int64", (4396,), "eabd00566ebb81f6"),
+        "snapshot_run": ("int64", (12044,), "b4ad3efec2d51c64"),
+        "snapshot_mass": ("float64", (12044,), "907c8ca4646385e6"),
+    },
+    "two-atom": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "ca1463bd702c00a7"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "3623e7cef13022ff"),
+        "largest": ("float64", (4396, 3), "e6144269df7735a4"),
+        "sum_masses": ("float64", (4396, 3), "4f0e7fb898fe0b93"),
+        "sum_squares": ("float64", (4396, 3), "5d7a465748524146"),
+        "tag_mass": ("float64", (2, 4396, 3), "c17dd449b2d50a14"),
+        "tag_death": ("float64", (2, 4396), "ea398088ae9d8d4a"),
+        "tag_killed": ("bool", (2, 4396), "01db09d27965b304"),
+        "separation_time": ("float64", (4396,), "aa9273bbd02ea2de"),
+        "shared_splits": ("int64", (4396,), "b77cea39784e80b8"),
+        "snapshot_run": ("int64", (18375,), "a66cc04208f0aa77"),
+        "snapshot_mass": ("float64", (18375,), "0be356f1d5a20459"),
+    },
+}
 _GOLDEN_ZETA_TAG = {
-    "value": ("float64", (1000,), "113f495396d3c93f"),
-    "bound": ("float64", (1000,), "b6408a9409305995"),
-    "killed": ("bool", (1000,), "541b3e9daa09b20b"),
+    -1.0: {
+        "value": ("float64", (1000,), "113f495396d3c93f"),
+        "bound": ("float64", (1000,), "b6408a9409305995"),
+        "killed": ("bool", (1000,), "541b3e9daa09b20b"),
+    },
+    -0.5: {
+        "value": ("float64", (1000,), "848547c1785415be"),
+        "bound": ("float64", (1000,), "1e8ee965a8ef7e79"),
+        "killed": ("bool", (1000,), "541b3e9daa09b20b"),
+    },
 }
 
 
@@ -111,20 +151,43 @@ _GOLDEN_ZETA_TAG = {
 ])
 def test_replay_matches_frozen_digests(label, spec):
     """The replay contract across versions: every result field of a
-    two-chunk ensemble, and one tagged-lineage draw, hash to the values
-    frozen under numpy 2.4.6.  A change that alters the random stream or
-    any arithmetic on it must re-freeze these digests and say so."""
-    cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -6,
-                        checkpoints=(0.5, 1.0, 2.0), seed=2024, tags=2,
-                        snapshot_time=1.0)
-    ens = run_ensemble(spec, cfg, CHUNK_RUNS + 300, workers=1)
-    assert _digests(vars(ens)) == _GOLDEN_RUNS[label]
+    two-chunk ensemble at alpha = -1 and -1/2, and one tagged-lineage draw
+    at each, hash to the values frozen under numpy 2.4.6.  A change that
+    alters the random stream or any arithmetic on it must re-freeze these
+    digests and say so."""
+    for alpha, golden in ((-1.0, _GOLDEN_RUNS), (-0.5, _GOLDEN_RUNS_HALF)):
+        cfg = CascadeConfig(alpha=alpha, cutoff=2.0 ** -6,
+                            checkpoints=(0.5, 1.0, 2.0), seed=2024, tags=2,
+                            snapshot_time=1.0)
+        ens = run_ensemble(spec, cfg, CHUNK_RUNS + 300, workers=1)
+        assert _digests(vars(ens)) == golden[label], alpha
 
 
 def test_zeta_tag_matches_frozen_digests():
     # frozen with the ensembles above, under numpy 2.4.6
-    draw = sample_zeta_tag(EX2, -1.0, 1e-4, 1000, _generator(2024))
-    assert _digests(draw) == _GOLDEN_ZETA_TAG
+    for alpha, golden in _GOLDEN_ZETA_TAG.items():
+        draw = sample_zeta_tag(EX2, alpha, 1e-4, 1000, _generator(2024))
+        assert _digests(draw) == golden, alpha
+
+
+class _AlmostOne:
+    """Generator stand-in whose every uniform is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_routing_uniform_near_one_stays_in_its_split():
+    # a routing uniform just below 1 picks the last part of the split; a
+    # cumulative sum over other fragments or atoms would round it up into
+    # the dust residual and kill the tag of a conservative split
+    cfg = CascadeConfig(alpha=-1.0, cutoff=0.3, tags=2)
+    out = _simulate_chunk(EX1, cfg, 16, _AlmostOne())
+    assert out["tag_killed"].shape == (2, 16)
+    assert not out["tag_killed"].any()
+    spec = M.make_atomic([(1, (0.5, 0.5)), (1, (0.5, 0.25, 0.25))])
+    draw = sample_zeta_tag(spec, -1.0, 1e-4, 16, _AlmostOne())
+    assert not draw["killed"].any()
 
 
 def test_worker_count_does_not_change_results():
@@ -287,16 +350,6 @@ def test_cutoff_coupling_monotone():
         exts = [extinction_from_records(records, c)
                 for c in (2.0 ** -12, 2.0 ** -9, 2.0 ** -6, 2.0 ** -3)]
         assert all(exts[i] >= exts[i + 1] - 1e-15 for i in range(3))
-
-
-def test_trunc_error_bound_conservative_unit_alpha():
-    # with |alpha| = 1 and a conservative measure the truncated mass powers
-    # sum to the whole unit mass, so the ledger equals 1/phi(1) exactly
-    cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -6, seed=40,
-                        record_sums=False, record_largest=False)
-    ens = run_ensemble(EX1, cfg, 200)
-    inv_phi = 1.0 / PhiEvaluator(EX1).phi(1.0)
-    assert np.allclose(ens.trunc_error_bound, inv_phi, rtol=1e-12)
 
 
 def test_largest_fragment_small_time_expansion():
