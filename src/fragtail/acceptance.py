@@ -32,7 +32,7 @@ from .errors import ConfigError
 from .inversion import PsiSolver
 from .laplace import PhiEvaluator, beta_gap_integral, gamma_quotient
 from .measures import intrinsic_alpha
-from .simulate import (CascadeConfig, default_workers, run_ensemble,
+from .simulate import (CascadeConfig, resolve_workers, run_ensemble,
                        sample_zeta_tag, _generator)
 from .stats import (ks_two_sample, paired_mean_diff, shape_fit,
                     survival_curve, survival_grid, synthetic_tail_samples)
@@ -431,9 +431,8 @@ _CRITERIA = [
 class _Context:
     def __init__(self, fast, workers):
         self.fast = fast
-        if workers is None:
-            workers = default_workers(unset=min(2, os.cpu_count() or 1))
-        self.workers = workers
+        self.workers = resolve_workers(workers,
+                                       unset=min(2, os.cpu_count() or 1))
         self.cache = {}
 
 

@@ -27,7 +27,7 @@ from .inversion import PsiSolver
 from .asymptotics import (TailShape, default_t0, extinction_log_tail,
                           family_tail_shape, phi_expansion, tagged_log_tail,
                           tail_shape_from_expansion)
-from .simulate import (CascadeConfig, default_workers, run_ensemble,
+from .simulate import (CascadeConfig, resolve_workers, run_ensemble,
                        sample_zeta_tag, _generator)
 from .stats import shape_fit, survival_curve, survival_grid
 
@@ -223,12 +223,13 @@ def cmd_simulate(args):
     cfg = CascadeConfig(alpha=args.alpha, cutoff=args.cutoff,
                         checkpoints=checkpoints, max_events=args.max_events,
                         seed=args.seed, tags=args.tags)
-    ens = run_ensemble(spec, cfg, args.runs, workers=args.workers)
+    workers = resolve_workers(args.workers)
+    ens = run_ensemble(spec, cfg, args.runs, workers=workers)
     config = {"measure": args.measure, "alpha": args.alpha,
               "runs": args.runs, "cutoff": args.cutoff,
               "checkpoints": list(checkpoints), "seed": args.seed,
               "tags": args.tags, "max_events": args.max_events,
-              "workers": args.workers or default_workers()}
+              "workers": workers}
     cols = ["run_id", "extinction_est", "truncated", "first_event"]
     data = [np.arange(ens.n_runs), ens.zeta, ens.truncated, ens.first_event]
     for j, t in enumerate(checkpoints):

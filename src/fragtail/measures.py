@@ -273,13 +273,12 @@ def density_endpoint_exponent(spec):
 
 
 _ICDF_CACHE = {}
+_ICDF_CELLS = 2 ** 14  # a power of two, so q * _ICDF_CELLS is exact
 
 
-def _build_icdf(spec):
-    if spec.family == "uniform-k":
-        return lambda q: 0.5 * (1.0 + np.asarray(q, dtype=float))
-    # monotone interpolation of the inverse CDF on nodes graded toward u = 1,
-    # where the CDF flattens whenever min(a, b) < 1
+def _icdf_nodes(spec):
+    """(q, u) nodes of the beta inverse CDF: u graded toward 1, where the
+    CDF flattens whenever min(a, b) < 1, q strictly increasing from 0 to 1."""
     u_mid = np.linspace(0.5, 1.0 - 2.0 ** -8, 1200, endpoint=False)
     tail = 1.0 - 2.0 ** -8 * np.exp(
         np.linspace(0.0, math.log(2.0 ** -44), 800))
@@ -293,11 +292,47 @@ def _build_icdf(spec):
         interior = q_nodes < 1.0
         interior[-1] = True
         q_nodes, u_nodes = q_nodes[interior], u_nodes[interior]
-    interp = PchipInterpolator(q_nodes, u_nodes, extrapolate=False)
+    return q_nodes, u_nodes
+
+
+def _build_icdf(spec):
+    """Inverse CDF of the larger piece on q in [0, 1].
+
+    Beta families interpolate the nodes of ``_icdf_nodes`` monotonically
+    (PCHIP) and evaluate scipy's own breakpoints and coefficients here,
+    bit for bit as ``PchipInterpolator.__call__`` would: intervals are
+    half-open [x_i, x_i+1) with the last one closed, and the cubic is summed
+    as c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = (s s) s.  The interval of q is
+    found through _ICDF_CELLS equal cells over [0, 1]: a cell's first
+    interval plus one step when q passes the next breakpoint, with a
+    search only in the few cells that hold two or more breakpoints."""
+    if spec.family == "uniform-k":
+        return lambda q: 0.5 * (1.0 + np.asarray(q, dtype=float))
+    pchip = PchipInterpolator(*_icdf_nodes(spec), extrapolate=False)
+    x = pchip.x
+    c0, c1, c2, c3 = pchip.c
+    edges = np.arange(_ICDF_CELLS + 1) / _ICDF_CELLS
+    first = np.minimum(np.searchsorted(x, edges, side="right") - 1,
+                       len(x) - 2)
+    # past the last interval the next breakpoint is +inf, so q = 1.0 (the
+    # last cell, alone) stays in the closed last interval
+    x_next = np.append(x[1:-1], np.inf)[first]
+    crowded = np.append(np.searchsorted(x, edges[1:], side="left")
+                        - np.searchsorted(x, edges[:-1], side="right") >= 2,
+                        False)
 
     def icdf(q):
-        out = interp(np.asarray(q, dtype=float))
-        return np.clip(out, 0.5, 1.0)
+        q = np.asarray(q, dtype=float)
+        flat = q.ravel()
+        cell = (flat * _ICDF_CELLS).astype(np.intp)
+        i = first[cell] + (flat >= x_next[cell])
+        slow = np.flatnonzero(crowded[cell])
+        if slow.size:
+            i[slow] = np.searchsorted(x, flat[slow], side="right") - 1
+        s = flat - x[i]
+        s2 = s * s
+        out = c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+        return np.clip(out.reshape(q.shape), 0.5, 1.0)
 
     return icdf
 

@@ -11,7 +11,12 @@ Two engines implement the same law:
 * a vectorized level-synchronous engine that advances a whole frontier of
   fragments at once across many runs (fragments evolve independently given
   their masses, so no global event queue is needed for per-fragment birth
-  and death times);
+  and death times).  A level builds only the children above the cutoff,
+  which are a prefix of each parent's parts; each row carries the index of
+  the first checkpoint at or after its birth, so only the rows that
+  straddle a checkpoint are searched and binned; and the beta split
+  sampler evaluates its PCHIP inverse CDF through a bucket index over q,
+  bit for bit as scipy would;
 * a per-node reference engine that gives every node of the fragment tree
   its own counter-derived random stream, so that runs with different dust
   cutoffs share the event tree pathwise (the coupling used to check that a
@@ -77,14 +82,33 @@ def _pow(x, p):
     return x ** p
 
 
-def _part_cum(spec):
-    """(atoms, most parts) table of each atom's own cumulative parts, padded
-    with +inf, for size-biased part picks."""
-    table = np.full((len(spec.atoms), max(len(p) for _, p in spec.atoms)),
-                    np.inf)
+def _part_table(spec):
+    """(atoms, most parts) table of each atom's parts, padded with 0.0: a
+    padded part has zero mass and falls below any cutoff."""
+    table = np.zeros((len(spec.atoms), max(len(p) for _, p in spec.atoms)))
     for row, (_, parts) in zip(table, spec.atoms):
-        row[:len(parts)] = np.cumsum(parts)
+        row[:len(parts)] = parts
     return table
+
+
+def _part_cum(part_table):
+    """Each atom's own cumulative parts, padded with +inf, for size-biased
+    part picks."""
+    cum = np.cumsum(part_table, axis=1)
+    cum[part_table == 0.0] = np.inf
+    return cum
+
+
+def _kept_counts(keep):
+    """Kept children per parent from the (parents, parts) keep mask, as a
+    sum of its int8 columns (count_nonzero along the short axis is slower);
+    int8 counts while they cannot overflow."""
+    flags = keep.view(np.int8)
+    width = flags.shape[1]
+    kept = flags[:, 0].astype(np.int8 if width < 128 else np.int64)
+    for j in range(1, width):
+        kept += flags[:, j]
+    return kept
 
 
 def _pick_part(part_cum, atom, r):
@@ -170,8 +194,17 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     The frontier (all currently alive fragments across all runs) is a set
     of flat arrays sorted by run id; every level samples all waiting times,
     records statistics for fragments whose lifetime straddles a checkpoint,
-    then splits every fragment at once.  Tagged lineages are tracked as one
-    frontier row index per run, so tag bookkeeping costs O(n_runs) per
+    then splits every fragment at once.
+
+    A parent's children above the cutoff are always a prefix of its parts
+    (atom parts are nonincreasing and the binary s1 is at least 1/2), so a
+    level counts the kept children of each parent and builds only those
+    rows.  Each row carries ``jlo``, the number of checkpoints before its
+    birth: a child's is its parent's count before death, so the checkpoint
+    search, key build and bincounts run only on the rows whose lifetime
+    straddles a checkpoint.  Beta splits draw s1 from the bucketed PCHIP
+    inverse CDF of ``measures.split_icdf``.  Tagged lineages are tracked as
+    one frontier row index per run, so tag bookkeeping costs O(n_runs) per
     level regardless of frontier width.
     """
     alpha = cfg.alpha
@@ -185,10 +218,11 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         raise UnsupportedSampling(
             f"family {spec.family!r} cannot be simulated (infinite rate)")
     if not binary:
-        cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
-        part_cum = _part_cum(spec)
+        cum_w, _, _, sizes = atom_arrays(spec)
+        part_table = _part_table(spec)
+        part_cum = _part_cum(part_table)
+        part_cols = part_table.T
         single_atom = len(sizes) == 1
-        atom_parts = parts_flat[:sizes[0]] if single_atom else None
 
     zeta = np.zeros(n_runs)
     truncated = np.zeros(n_runs, dtype=bool)
@@ -207,6 +241,11 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     run = np.arange(n_runs, dtype=np.int64)
     mass = np.ones(n_runs)
     birth = np.zeros(n_runs)
+    track_cps = ncp and (S1 is not None or F1 is not None)
+    if track_cps:
+        # cps_inf[jlo] is the first checkpoint at or after a row's birth
+        cps_inf = np.append(cps, np.inf)
+        jlo = np.full(n_runs, np.searchsorted(cps, 0.0, side="left"))
     # tag_row[k][r]: frontier row carrying tag k of run r, -1 once dead
     tag_row = np.tile(np.arange(n_runs, dtype=np.int64), (ntags, 1))
     level = 0
@@ -223,30 +262,38 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             rows = tag_row[carried]
             tag_row[carried] = np.where(keep_rows[rows], new_idx[rows], -1)
             run, mass, birth = run[keep_rows], mass[keep_rows], birth[keep_rows]
+            if track_cps:
+                jlo = jlo[keep_rows]
             m = run.size
             if m == 0:
                 break
 
-        u = rng.random(m)
-        death = birth - np.log1p(-u) / (rate_total * _pow(mass, alpha))
+        # birth - log1p(-u) / (rate_total * mass**alpha), in place
+        wait = rng.random(m)
+        np.log1p(np.negative(wait, out=wait), out=wait)
+        rate = _pow(mass, alpha)
+        rate *= rate_total
+        wait /= rate
+        death = birth - wait
         if level == 0:
             first_event[run] = death
         _segment_max_into(zeta, run, death)
 
-        # fragments alive at checkpoint j satisfy birth <= cps[j] < death;
-        # one flattened bincount over (run, checkpoint) keys covers them all
-        if ncp and (S1 is not None or F1 is not None):
-            jlo = np.searchsorted(cps, birth, side="left")
-            jhi = np.searchsorted(cps, death, side="left")
-            counts = jhi - jlo
-            total = int(counts.sum())
-            if total:
-                run_rep = np.repeat(run, counts)
-                mass_rep = np.repeat(mass, counts)
+        # row i is alive at checkpoints jlo[i] <= j < jhi[i]; one flattened
+        # bincount over (run, checkpoint) keys of the straddling rows, in
+        # frontier order, covers them all.  jlo becomes jhi, the children's
+        if track_cps:
+            cross = np.flatnonzero(cps_inf[jlo] < death)
+            if cross.size:
+                lo = jlo[cross]
+                hi = np.searchsorted(cps, death[cross], side="left")
+                jlo[cross] = hi
+                counts = hi - lo
                 starts = np.cumsum(counts) - counts
-                within = np.arange(total, dtype=np.int64) \
-                    - np.repeat(starts, counts)
-                key = run_rep * ncp + np.repeat(jlo, counts) + within
+                first_key = run[cross] * ncp + lo - starts
+                key = np.repeat(first_key, counts) \
+                    + np.arange(int(counts.sum()), dtype=np.int64)
+                mass_rep = np.repeat(mass[cross], counts)
                 if S1 is not None:
                     s1_flat = S1.ravel()
                     np.add(s1_flat, np.bincount(
@@ -268,45 +315,32 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                 snap_runs.append(run[alive].copy())
                 snap_masses.append(mass[alive].copy())
 
-        # children (zero-mass children are possible at density endpoints
-        # and fall straight below the cutoff)
+        # (parents, parts) child masses, filled column by column (faster
+        # than a broadcast over the short axis); zero-mass children (density
+        # endpoints, atom padding) fall straight below the cutoff
         if binary:
             s1 = np.asarray(split_icdf(spec, rng.random(m)))
-            child_mass = np.empty(2 * m)
-            child_mass[0::2] = mass * s1
-            child_mass[1::2] = mass * (1.0 - s1)
-            child_run = np.repeat(run, 2)
-            child_birth = np.repeat(death, 2)
-        elif single_atom:
-            k_parts = len(atom_parts)
-            child_mass = np.repeat(mass, k_parts) * np.tile(atom_parts, m)
-            child_run = np.repeat(run, k_parts)
-            child_birth = np.repeat(death, k_parts)
+            fracs = (s1, 1.0 - s1)
         else:
-            atom_idx = np.searchsorted(cum_w, rng.random(m), side="right")
-            child_counts = sizes[atom_idx]
-            cum_counts = np.cumsum(child_counts)
-            n_child = int(cum_counts[-1])
-            child_starts = cum_counts - child_counts
-            within = np.arange(n_child, dtype=np.int64) \
-                - np.repeat(child_starts, child_counts)
-            part_idx = np.repeat(offsets[atom_idx], child_counts) + within
-            child_mass = np.repeat(mass, child_counts) * parts_flat[part_idx]
-            child_run = np.repeat(run, child_counts)
-            child_birth = np.repeat(death, child_counts)
-
+            atom_idx = 0 if single_atom else np.searchsorted(
+                cum_w, rng.random(m), side="right")
+            fracs = [col[atom_idx] for col in part_cols]
+        child_mass = np.empty((m, len(fracs)))
+        for j, frac in enumerate(fracs):
+            np.multiply(mass, frac, out=child_mass[:, j])
         keep = child_mass >= eps
+        kept = _kept_counts(keep)
 
-        # each tag records its row's checkpoint masses, then picks child i
+        # each tag records its row's checkpoint masses, then picks part i
         # with probability equal to its relative mass (the dust residual
-        # otherwise) and dies unless that child stays above the cutoff
+        # otherwise) and dies unless that part is among the kept prefix
         if ntags == 2:
             both_runs = np.flatnonzero(
                 (tag_row[0] >= 0) & (tag_row[0] == tag_row[1]))
             shared[both_runs] += 1
             both_parent = tag_row[0, both_runs]
         if ntags:
-            new_index = np.cumsum(keep) - 1
+            kept_through = np.cumsum(kept)
         for k in range(ntags):
             runs_t = np.flatnonzero(tag_row[k] >= 0)
             rows = tag_row[k, runs_t]
@@ -315,30 +349,30 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             tag_mass[k, runs_t[at], j] = mass[rows[at]]
             r = rng.random(rows.size)
             if binary:
-                child = 2 * rows + (r >= s1[rows])
+                part = r >= s1[rows]
                 to_dust = np.zeros(rows.size, dtype=bool)
             else:
                 atom = 0 if single_atom else atom_idx[rows]
                 part = _pick_part(part_cum, atom, r)
-                child = part + (k_parts * rows if single_atom
-                                else child_starts[rows])
                 to_dust = part == sizes[atom]
-            survives = ~to_dust
-            survives[survives] = keep[child[survives]]
+            survives = part < kept[rows]
             lost = ~survives
             tag_death[k, runs_t[lost]] = death[rows[lost]]
             tag_killed[k, runs_t[lost]] = to_dust[lost]
-            tag_row[k, runs_t] = -1
-            tag_row[k, runs_t[survives]] = new_index[child[survives]]
+            # kept children before this row's, plus the part: the new row
+            first_new = kept_through[rows] - kept[rows]
+            tag_row[k, runs_t] = np.where(survives, first_new + part, -1)
         if ntags == 2:
             # the tags part here unless both ride on into one kept child
             parted = (tag_row[0, both_runs] < 0) | (
                 tag_row[0, both_runs] != tag_row[1, both_runs])
             t_sep[both_runs[parted]] = death[both_parent[parted]]
 
-        run = child_run[keep]
+        run = np.repeat(run, kept)
         mass = child_mass[keep]
-        birth = child_birth[keep]
+        birth = np.repeat(death, kept)
+        if track_cps:
+            jlo = np.repeat(jlo, kept)
         level += 1
 
     return {
@@ -373,9 +407,14 @@ def _run_chunk_job(args):
     return _simulate_chunk(spec, cfg, n, rng)
 
 
-def default_workers(unset=1):
-    """Worker count from the FRAGTAIL_THREADS environment variable, or
-    ``unset`` when it is unset or empty; a non-integer is a ConfigError."""
+def resolve_workers(workers=None, unset=1):
+    """The worker count to use: ``workers`` when given, else the
+    FRAGTAIL_THREADS environment variable, else ``unset``.  A count below 1,
+    or a FRAGTAIL_THREADS that is not an integer, is a ConfigError."""
+    if workers is not None:
+        if workers < 1:
+            raise ConfigError(f"need at least 1 worker, got {workers}")
+        return workers
     env = os.environ.get("FRAGTAIL_THREADS")
     if not env:
         return unset
@@ -391,13 +430,12 @@ def run_ensemble(spec, cfg, n_runs, workers=None):
 
     Runs are processed in fixed chunks of CHUNK_RUNS; chunk c draws from
     PCG64(mix_seed(cfg.seed, c)), which makes the result independent of the
-    worker count and bit-identical across replays.  ``workers`` defaults to
-    the FRAGTAIL_THREADS environment variable (1 if unset).
+    worker count and bit-identical across replays.  ``workers`` (at least 1)
+    defaults to the FRAGTAIL_THREADS environment variable (1 if unset).
     """
     if n_runs <= 0:
         raise ConfigError("need a positive number of runs")
-    if workers is None:
-        workers = default_workers()
+    workers = resolve_workers(workers)
     sizes = _chunk_sizes(n_runs)
     jobs = [(spec, cfg, n, i) for i, n in enumerate(sizes)]
     if workers > 1 and len(jobs) > 1:
@@ -455,7 +493,7 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
     binary = spec.variant == BINARY_DENSITY
     if not binary:
         cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
-        part_cum = _part_cum(spec)
+        part_cum = _part_cum(_part_table(spec))
 
     m = np.ones(n)
     acc = np.zeros(n)

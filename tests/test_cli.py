@@ -255,6 +255,13 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
     (["zeta-tag", "--alpha", "-1", "--n", "-1"], "ConfigError"),
     (["zeta-tag", "--alpha", "-1", "--n", "0"], "ConfigError"),
     (["hcheck", "--ngrid", "0"], "DomainError"),
+    (["simulate", "--alpha", "-1", "--runs", "10", "--workers", "0"],
+     "ConfigError"),
+    (["simulate", "--alpha", "-1", "--runs", "10", "--workers", "-3"],
+     "ConfigError"),
+    (["identity", "--suite", "s2", "--alpha", "-1", "--runs", "1000",
+      "--workers", "0"], "ConfigError"),
+    (["verify", "--only", "8", "--workers", "0"], "ConfigError"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_malformed_options_fail_with_a_json_error(tmp_path, capsys, uniform2,
                                                   argv, error):
@@ -265,12 +272,24 @@ def test_malformed_options_fail_with_a_json_error(tmp_path, capsys, uniform2,
         shape.write_text(json.dumps(
             {"poly_exponent": 0.0, "exp_terms": [[1.0, 1.0]]}))
         argv = argv + ["--samples", str(samples), "--shape", str(shape)]
-    else:
+    elif argv[0] != "verify":
         argv = argv + ["--measure", uniform2]
     assert main(argv) == (2 if error == "ConfigError" else 1)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == error
+
+
+@pytest.mark.parametrize("argv,workers", [([], 2), (["--workers", "1"], 1)])
+def test_simulate_records_the_worker_count_it_used(tmp_path, monkeypatch,
+                                                   uniform2, argv, workers):
+    monkeypatch.setenv("FRAGTAIL_THREADS", "2")
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--measure", uniform2, "--alpha", "-1",
+                 "--runs", "10", "--cutoff", "0.01", "--out", str(out)]
+                + argv) == 0
+    config = json.loads(out.read_text().splitlines()[0][2:])
+    assert config["workers"] == workers
 
 
 @pytest.mark.parametrize("shape_text", ["", '{"exp_terms": [[1.0, 1.0]]}'],

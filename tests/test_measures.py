@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 from scipy.stats import beta as beta_dist
 
 from fragtail import measures as M
@@ -112,6 +113,30 @@ def test_icdf_round_trip_accuracy():
     u = np.asarray(split_icdf(spec, q))
     back = np.asarray(split_cdf(spec, u))
     assert np.max(np.abs(back - q)) < 1e-9
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.8, 0.9), (10.0, 0.2),
+                                 (0.3, 5.0)])
+def test_icdf_matches_scipy_pchip_bit_for_bit(a, b):
+    # the bucketed evaluator against scipy's own evaluation of the same
+    # interpolant, on uniforms, every breakpoint and its neighbours, and
+    # the ends: q = 1.0 lies in the closed last interval
+    spec = M.make_beta(a, b)
+    q_nodes, u_nodes = M._icdf_nodes(spec)
+    pchip = PchipInterpolator(q_nodes, u_nodes, extrapolate=False)
+    q = np.concatenate([rng(17).random(10 ** 6), q_nodes,
+                        np.nextafter(q_nodes, 0.0), np.nextafter(q_nodes, 2.0),
+                        [0.0, np.nextafter(1.0, 0.0), 1.0]])
+    q = q[(q >= 0.0) & (q <= 1.0)]
+    expected = np.clip(pchip(q), 0.5, 1.0)
+    got = split_icdf(spec, q)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    for scalar in (0.3, 1.0):
+        expected = np.clip(pchip(scalar), 0.5, 1.0)
+        got = split_icdf(spec, scalar)
+        assert type(got) is type(expected)
+        assert got == expected
 
 
 def test_integrability_diagnostic_atomic_exact():

@@ -143,6 +143,80 @@ _GOLDEN_ZETA_TAG = {
         "killed": ("bool", (1000,), "541b3e9daa09b20b"),
     },
 }
+# the sampler paths the ensembles above miss, at alpha = -1: the PCHIP
+# icdf, a single atom with three parts, several atoms with dust, and a
+# run cap that truncates most runs mid-level
+_GOLDEN_SAMPLERS = {
+    "beta-2-3": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "b30eb5f6624837cd"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "e7e84a0ab543508c"),
+        "largest": ("float64", (4396, 3), "15f77a6394b2700e"),
+        "sum_masses": ("float64", (4396, 3), "87157e39d2bb6e15"),
+        "sum_squares": ("float64", (4396, 3), "505f84dc9d6c8570"),
+        "tag_mass": ("float64", (2, 4396, 3), "36dbd2955c4d590b"),
+        "tag_death": ("float64", (2, 4396), "e0fce9223bbd966a"),
+        "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
+        "separation_time": ("float64", (4396,), "bd8fae58bcac86fe"),
+        "shared_splits": ("int64", (4396,), "aab30c4a39318c3f"),
+        "snapshot_run": ("int64", (10971,), "be16d416298cf99c"),
+        "snapshot_mass": ("float64", (10971,), "cb4c674a377de8ce"),
+    },
+    "identical-3": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "73b5982cd8c99e14"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "e7e84a0ab543508c"),
+        "largest": ("float64", (4396, 3), "4cab7e7c4d27a3d1"),
+        "sum_masses": ("float64", (4396, 3), "0028c8b89cda8019"),
+        "sum_squares": ("float64", (4396, 3), "0368bb7a1e9934ad"),
+        "tag_mass": ("float64", (2, 4396, 3), "d7ffa873ef524d0e"),
+        "tag_death": ("float64", (2, 4396), "f03fa71a2d4cc3db"),
+        "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
+        "separation_time": ("float64", (4396,), "ee622fe0ff3cb260"),
+        "shared_splits": ("int64", (4396,), "1d5ff6c49b44cdf1"),
+        "snapshot_run": ("int64", (8177,), "83488e7c6198e9fa"),
+        "snapshot_mass": ("float64", (8177,), "cf22fbe5cdeb2240"),
+    },
+    "atoms-with-dust": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "3b8cc62c989bb0d1"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "3623e7cef13022ff"),
+        "largest": ("float64", (4396, 3), "1734b170d07b7a03"),
+        "sum_masses": ("float64", (4396, 3), "3010bf4e961ee4bb"),
+        "sum_squares": ("float64", (4396, 3), "7da9795d32c908db"),
+        "tag_mass": ("float64", (2, 4396, 3), "85fafe163873d77a"),
+        "tag_death": ("float64", (2, 4396), "6ead7b8f3e154ac0"),
+        "tag_killed": ("bool", (2, 4396), "4b8519664feaa766"),
+        "separation_time": ("float64", (4396,), "400b45064acda6fe"),
+        "shared_splits": ("int64", (4396,), "079431f93330604f"),
+        "snapshot_run": ("int64", (968,), "6f68b814f3654be6"),
+        "snapshot_mass": ("float64", (968,), "37401d5ce338a0e7"),
+    },
+    "truncated": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "ba1b8336bbf62dc6"),
+        "truncated": ("bool", (4396,), "9ccbbb0c31ce3d84"),
+        "first_event": ("float64", (4396,), "e7e84a0ab543508c"),
+        "largest": ("float64", (4396, 3), "2c2d25cff5954021"),
+        "sum_masses": ("float64", (4396, 3), "ada61ec082051543"),
+        "sum_squares": ("float64", (4396, 3), "efdbf9d40682372c"),
+        "tag_mass": ("float64", (2, 4396, 3), "ccd4cfb63a6d5649"),
+        "tag_death": ("float64", (2, 4396), "d296987e19965af8"),
+        "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
+        "separation_time": ("float64", (4396,), "963b82a940a96b1d"),
+        "shared_splits": ("int64", (4396,), "7a464d5112d256f9"),
+        "snapshot_run": ("int64", (8835,), "649cfbaf4391de33"),
+        "snapshot_mass": ("float64", (8835,), "4f2a5467e543d7ce"),
+    },
+}
+_GOLDEN_ZETA_TAG_BETA = {
+    "value": ("float64", (1000,), "70e88776eab0caaf"),
+    "bound": ("float64", (1000,), "7c66413ef14c365a"),
+    "killed": ("bool", (1000,), "541b3e9daa09b20b"),
+}
 
 
 @pytest.mark.parametrize("label,spec", [
@@ -168,6 +242,27 @@ def test_zeta_tag_matches_frozen_digests():
     for alpha, golden in _GOLDEN_ZETA_TAG.items():
         draw = sample_zeta_tag(EX2, alpha, 1e-4, 1000, _generator(2024))
         assert _digests(draw) == golden, alpha
+    draw = sample_zeta_tag(M.make_beta(2, 3), -1.0, 1e-4, 1000,
+                           _generator(2024))
+    assert _digests(draw) == _GOLDEN_ZETA_TAG_BETA
+
+
+@pytest.mark.parametrize("label,spec,cutoff,max_events", [
+    ("beta-2-3", M.make_beta(2, 3), 2.0 ** -6, 10 ** 6),
+    ("identical-3", M.make_identical(3), 2.0 ** -6, 10 ** 6),
+    ("atoms-with-dust", M.make_atomic([(1, (0.5, 0.2)),
+                                       (2, (0.4, 0.3, 0.1))]),
+     2.0 ** -6, 10 ** 6),
+    # 72% of the runs hit the cap, so rows leave the frontier mid-cascade
+    ("truncated", EX2, 2.0 ** -5, 60),
+])
+def test_sampler_paths_match_frozen_digests(label, spec, cutoff, max_events):
+    # frozen under numpy 2.4.6 with the ensembles above
+    cfg = CascadeConfig(alpha=-1.0, cutoff=cutoff, max_events=max_events,
+                        checkpoints=(0.5, 1.0, 2.0), seed=2024, tags=2,
+                        snapshot_time=1.0)
+    ens = run_ensemble(spec, cfg, CHUNK_RUNS + 300, workers=1)
+    assert _digests(vars(ens)) == _GOLDEN_SAMPLERS[label]
 
 
 class _AlmostOne:
@@ -215,6 +310,18 @@ def test_deterministic_split_geometry():
     assert set(np.round(ens.sum_squares, 12).ravel()) <= {0.0, 0.25, 0.5, 1.0}
     assert set(np.round(ens.sum_masses, 12).ravel()) <= {0.0, 0.5, 1.0}
     assert np.all(ens.zeta >= ens.first_event)
+
+
+def test_many_part_split_keeps_every_child():
+    # identical-130 at cutoff 1/200 keeps all 130 children of the root and
+    # none of theirs: exactly 131 events a run, a kept count past int8
+    for cap, truncated in ((131, False), (130, True)):
+        cfg = CascadeConfig(alpha=-1.0, cutoff=1.0 / 200, max_events=cap,
+                            checkpoints=(0.0,), seed=8, tags=1)
+        ens = run_ensemble(M.make_identical(130), cfg, 20)
+        assert np.all(ens.truncated == truncated)
+    assert np.all(ens.sum_masses == 1.0)
+    assert not ens.tag_killed.any()
 
 
 def test_first_event_is_unit_exponential():
