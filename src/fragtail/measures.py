@@ -322,17 +322,33 @@ def _build_icdf(spec):
                         False)
 
     def icdf(q):
+        # in place on a few q-sized buffers, with the docstring's products
+        # and sums in their order
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
         cell = (flat * _ICDF_CELLS).astype(np.intp)
-        i = first[cell] + (flat >= x_next[cell])
+        i = first[cell]
+        i += flat >= x_next[cell]
         slow = np.flatnonzero(crowded[cell])
+        del cell
         if slow.size:
             i[slow] = np.searchsorted(x, flat[slow], side="right") - 1
-        s = flat - x[i]
+        s = x[i]
+        np.subtract(flat, s, out=s)
         s2 = s * s
-        out = c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
-        return np.clip(out.reshape(q.shape), 0.5, 1.0)
+        out = c3[i]
+        term = c2[i]
+        term *= s
+        out += term
+        np.take(c1, i, out=term)
+        term *= s2
+        out += term
+        s2 *= s
+        np.take(c0, i, out=term)
+        term *= s2
+        out += term
+        np.clip(out, 0.5, 1.0, out=out)
+        return out.reshape(q.shape)[()]
 
     return icdf
 

@@ -11,11 +11,16 @@ Two engines implement the same law:
 * a vectorized level-synchronous engine that advances a whole frontier of
   fragments at once across many runs (fragments evolve independently given
   their masses, so no global event queue is needed for per-fragment birth
-  and death times).  A level builds only the children above the cutoff,
-  which are a prefix of each parent's parts; each row carries the index of
-  the first checkpoint at or after its birth, so only the rows that
-  straddle a checkpoint are searched and binned; and the beta split
-  sampler evaluates its PCHIP inverse CDF through a bucket index over q,
+  and death times).  No row carries its run id: the frontier is sorted by
+  run and keeps one row count per run, which gives the event counts and
+  the segment bounds of the per-run maximum.  A level builds only the
+  children above the cutoff, which are a prefix of each parent's parts,
+  from the flat indices of the keep mask; their quotient by the split
+  width is the parent row, and a search in it gives each run's next count
+  and each tag's new row.  Each row carries the index of the first
+  checkpoint at or after its birth, so only the rows that straddle a
+  checkpoint are searched and binned; and the beta split sampler
+  evaluates its PCHIP inverse CDF in place through a bucket index over q,
   bit for bit as scipy would;
 * a per-node reference engine that gives every node of the fragment tree
   its own counter-derived random stream, so that runs with different dust
@@ -71,8 +76,8 @@ def _pow(x, p):
     """x**p, with cheaper or frozen forms: numpy's general power is slower
     than 1/x at p = -1, and at p = -1/2 it rounds differently from the
     reciprocal square root the alpha = -1/2 replay digests were frozen with.
-    The p = -2 reciprocal keeps the form of earlier versions; no frozen
-    digest runs at alpha = -2."""
+    The p = -2 reciprocal keeps the form the alpha = -2 digests were frozen
+    with."""
     if p == -1.0:
         return 1.0 / x
     if p == -0.5:
@@ -97,18 +102,6 @@ def _part_cum(part_table):
     cum = np.cumsum(part_table, axis=1)
     cum[part_table == 0.0] = np.inf
     return cum
-
-
-def _kept_counts(keep):
-    """Kept children per parent from the (parents, parts) keep mask, as a
-    sum of its int8 columns (count_nonzero along the short axis is slower);
-    int8 counts while they cannot overflow."""
-    flags = keep.view(np.int8)
-    width = flags.shape[1]
-    kept = flags[:, 0].astype(np.int8 if width < 128 else np.int64)
-    for j in range(1, width):
-        kept += flags[:, j]
-    return kept
 
 
 def _pick_part(part_cum, atom, r):
@@ -150,6 +143,9 @@ class CascadeConfig:
             raise ConfigError(f"checkpoints must be finite and sorted: {cps}")
         if self.tags not in (0, 1, 2):
             raise ConfigError("tags must be 0, 1 or 2")
+        if not self.max_events >= 1:
+            raise ConfigError(
+                f"max_events must be at least 1, got {self.max_events}")
         object.__setattr__(self, "checkpoints", cps)
 
 
@@ -171,41 +167,48 @@ class EnsembleResult:
     shared_splits: np.ndarray = None
     snapshot_run: np.ndarray = None  # run ids of fragments alive at snapshot_time
     snapshot_mass: np.ndarray = None
+    peak_rows: np.ndarray = None     # (chunks,) widest frontier of each
 
     @property
     def n_runs(self):
         return len(self.zeta)
 
 
-def _segment_max_into(target, idx_sorted, values):
-    """target[r] = max(target[r], max of values where idx == r); idx sorted."""
-    if idx_sorted.size == 0:
-        return
-    starts = np.flatnonzero(
-        np.concatenate(([True], idx_sorted[1:] != idx_sorted[:-1])))
-    seg_max = np.maximum.reduceat(values, starts)
-    runs = idx_sorted[starts]
-    target[runs] = np.maximum(target[runs], seg_max)
+def _row_runs(seg_run, seg_end, rows):
+    """Run ids of the given frontier rows: row i belongs to the first
+    segment whose exclusive end is past it."""
+    return seg_run[np.searchsorted(seg_end, rows, side="right")]
 
 
 def _simulate_chunk(spec, cfg, n_runs, rng):
     """Level-synchronous cascade over n_runs independent trees.
 
     The frontier (all currently alive fragments across all runs) is a set
-    of flat arrays sorted by run id; every level samples all waiting times,
+    of flat arrays sorted by run; every level samples all waiting times,
     records statistics for fragments whose lifetime straddles a checkpoint,
-    then splits every fragment at once.
+    then splits every fragment at once.  No row carries its run id: the
+    frontier is one segment per run that still has rows, held as the short
+    arrays ``seg_run`` and ``seg_cnt`` (its row count).  The counts give the
+    event counts, and their cumsum the segment bounds for the per-run max
+    of death times; run ids are looked up only for the few rows that need
+    them (checkpoint straddlers, snapshot rows).
 
     A parent's children above the cutoff are always a prefix of its parts
-    (atom parts are nonincreasing and the binary s1 is at least 1/2), so a
-    level counts the kept children of each parent and builds only those
-    rows.  Each row carries ``jlo``, the number of checkpoints before its
-    birth: a child's is its parent's count before death, so the checkpoint
-    search, key build and bincounts run only on the rows whose lifetime
-    straddles a checkpoint.  Beta splits draw s1 from the bucketed PCHIP
-    inverse CDF of ``measures.split_icdf``.  Tagged lineages are tracked as
-    one frontier row index per run, so tag bookkeeping costs O(n_runs) per
-    level regardless of frontier width.
+    (atom parts are nonincreasing and the binary s1 is at least 1/2).  The
+    kept children are gathered through the flat indices of the keep mask,
+    in frontier order; their quotient by the split width is the parent
+    row, nondecreasing, so a search in it counts the kept children of the
+    rows before any row.  Searched at the segment ends it gives the next
+    level's segment bounds, and so each run's next count; searched at a
+    tag's row, plus the tag's part, the tag's new row.  Each row carries
+    ``jlo``, the number of checkpoints before its birth: a child's is its
+    parent's count before death, so the checkpoint search, key build and
+    bincounts run only on the rows whose lifetime straddles a checkpoint.
+    Beta splits draw s1 from the bucketed PCHIP inverse CDF of
+    ``measures.split_icdf``.  Tagged lineages are tracked as one frontier
+    row index per run, so tag bookkeeping costs O(n_runs) per level
+    regardless of frontier width.  ``peak_rows`` is the widest frontier of
+    the chunk.
     """
     alpha = cfg.alpha
     eps = cfg.cutoff
@@ -217,11 +220,14 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     if not binary and spec.variant != ATOMIC:
         raise UnsupportedSampling(
             f"family {spec.family!r} cannot be simulated (infinite rate)")
-    if not binary:
+    if binary:
+        width = 2
+    else:
         cum_w, _, _, sizes = atom_arrays(spec)
         part_table = _part_table(spec)
         part_cum = _part_cum(part_table)
         part_cols = part_table.T
+        width = len(part_cols)
         single_atom = len(sizes) == 1
 
     zeta = np.zeros(n_runs)
@@ -238,7 +244,9 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     shared = np.zeros(n_runs, dtype=np.int64)
     snap_runs, snap_masses = [], []
 
-    run = np.arange(n_runs, dtype=np.int64)
+    # run seg_run[i] owns the seg_cnt[i] rows that end before seg_end[i]
+    seg_run = np.arange(n_runs, dtype=np.int64)
+    seg_cnt = np.ones(n_runs, dtype=np.int64)
     mass = np.ones(n_runs)
     birth = np.zeros(n_runs)
     track_cps = ncp and (S1 is not None or F1 is not None)
@@ -248,25 +256,28 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         jlo = np.full(n_runs, np.searchsorted(cps, 0.0, side="left"))
     # tag_row[k][r]: frontier row carrying tag k of run r, -1 once dead
     tag_row = np.tile(np.arange(n_runs, dtype=np.int64), (ntags, 1))
+    peak_rows = 0
     level = 0
 
-    while run.size:
-        m = run.size
-        n_events += np.bincount(run, minlength=n_runs)
-        newly_over = (n_events > cfg.max_events) & ~truncated
-        if newly_over.any():
-            truncated |= newly_over
-            keep_rows = ~truncated[run]
+    while seg_run.size:
+        peak_rows = max(peak_rows, mass.size)
+        n_events[seg_run] += seg_cnt
+        over = n_events[seg_run] > cfg.max_events
+        if over.any():
+            truncated[seg_run[over]] = True
+            keep_rows = np.repeat(~over, seg_cnt)
             new_idx = np.cumsum(keep_rows) - 1
             carried = tag_row >= 0
             rows = tag_row[carried]
             tag_row[carried] = np.where(keep_rows[rows], new_idx[rows], -1)
-            run, mass, birth = run[keep_rows], mass[keep_rows], birth[keep_rows]
+            mass, birth = mass[keep_rows], birth[keep_rows]
             if track_cps:
                 jlo = jlo[keep_rows]
-            m = run.size
-            if m == 0:
+            seg_run, seg_cnt = seg_run[~over], seg_cnt[~over]
+            if seg_run.size == 0:
                 break
+        m = mass.size
+        seg_end = np.cumsum(seg_cnt)
 
         # birth - log1p(-u) / (rate_total * mass**alpha), in place
         wait = rng.random(m)
@@ -274,10 +285,12 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         rate = _pow(mass, alpha)
         rate *= rate_total
         wait /= rate
-        death = birth - wait
+        del rate
+        death = np.subtract(birth, wait, out=wait)
         if level == 0:
-            first_event[run] = death
-        _segment_max_into(zeta, run, death)
+            first_event[seg_run] = death
+        seg_max = np.maximum.reduceat(death, seg_end - seg_cnt)
+        zeta[seg_run] = np.maximum(zeta[seg_run], seg_max)
 
         # row i is alive at checkpoints jlo[i] <= j < jhi[i]; one flattened
         # bincount over (run, checkpoint) keys of the straddling rows, in
@@ -290,7 +303,8 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                 jlo[cross] = hi
                 counts = hi - lo
                 starts = np.cumsum(counts) - counts
-                first_key = run[cross] * ncp + lo - starts
+                first_key = (_row_runs(seg_run, seg_end, cross) * ncp
+                             + lo - starts)
                 key = np.repeat(first_key, counts) \
                     + np.arange(int(counts.sum()), dtype=np.int64)
                 mass_rep = np.repeat(mass[cross], counts)
@@ -310,26 +324,31 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                     np.maximum.at(F1.ravel(), key, mass_rep)
         if cfg.snapshot_time is not None:
             t = cfg.snapshot_time
-            alive = (birth <= t) & (t < death)
-            if alive.any():
-                snap_runs.append(run[alive].copy())
-                snap_masses.append(mass[alive].copy())
+            alive = np.flatnonzero((birth <= t) & (t < death))
+            if alive.size:
+                snap_runs.append(_row_runs(seg_run, seg_end, alive))
+                snap_masses.append(mass[alive])
 
         # (parents, parts) child masses, filled column by column (faster
         # than a broadcast over the short axis); zero-mass children (density
         # endpoints, atom padding) fall straight below the cutoff
+        child_mass = np.empty((m, width))
         if binary:
             s1 = np.asarray(split_icdf(spec, rng.random(m)))
-            fracs = (s1, 1.0 - s1)
+            np.multiply(mass, s1, out=child_mass[:, 0])
+            np.multiply(mass, 1.0 - s1, out=child_mass[:, 1])
         else:
             atom_idx = 0 if single_atom else np.searchsorted(
                 cum_w, rng.random(m), side="right")
-            fracs = [col[atom_idx] for col in part_cols]
-        child_mass = np.empty((m, len(fracs)))
-        for j, frac in enumerate(fracs):
-            np.multiply(mass, frac, out=child_mass[:, j])
-        keep = child_mass >= eps
-        kept = _kept_counts(keep)
+            for j, col in enumerate(part_cols):
+                np.multiply(mass, col[atom_idx], out=child_mass[:, j])
+        # the kept children in frontier order: a flat index of the keep
+        # mask over the width is the child's parent row, nondecreasing, so
+        # a search in it counts the kept children of the rows before any row
+        parent = np.flatnonzero(child_mass >= eps)
+        children = child_mass.ravel()[parent]
+        del child_mass
+        parent //= width
 
         # each tag records its row's checkpoint masses, then picks part i
         # with probability equal to its relative mass (the dust residual
@@ -339,8 +358,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                 (tag_row[0] >= 0) & (tag_row[0] == tag_row[1]))
             shared[both_runs] += 1
             both_parent = tag_row[0, both_runs]
-        if ntags:
-            kept_through = np.cumsum(kept)
         for k in range(ntags):
             runs_t = np.flatnonzero(tag_row[k] >= 0)
             rows = tag_row[k, runs_t]
@@ -355,24 +372,31 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                 atom = 0 if single_atom else atom_idx[rows]
                 part = _pick_part(part_cum, atom, r)
                 to_dust = part == sizes[atom]
-            survives = part < kept[rows]
+            # kept children before this row's, plus the part: the new row,
+            # which holds a child of this row iff the part was kept
+            new_row = np.searchsorted(parent, rows, side="left") + part
+            survives = new_row < parent.size
+            survives[survives] = parent[new_row[survives]] == rows[survives]
             lost = ~survives
             tag_death[k, runs_t[lost]] = death[rows[lost]]
             tag_killed[k, runs_t[lost]] = to_dust[lost]
-            # kept children before this row's, plus the part: the new row
-            first_new = kept_through[rows] - kept[rows]
-            tag_row[k, runs_t] = np.where(survives, first_new + part, -1)
+            tag_row[k, runs_t] = np.where(survives, new_row, -1)
         if ntags == 2:
             # the tags part here unless both ride on into one kept child
             parted = (tag_row[0, both_runs] < 0) | (
                 tag_row[0, both_runs] != tag_row[1, both_runs])
             t_sep[both_runs[parted]] = death[both_parent[parted]]
 
-        run = np.repeat(run, kept)
-        mass = child_mass[keep]
-        birth = np.repeat(death, kept)
+        # a run's rows on the next level end where its children do
+        seg_cnt = np.diff(np.searchsorted(parent, seg_end, side="left"),
+                          prepend=0)
+        has_rows = seg_cnt > 0
+        seg_run, seg_cnt = seg_run[has_rows], seg_cnt[has_rows]
+        mass = children
+        birth = death[parent]
         if track_cps:
-            jlo = np.repeat(jlo, kept)
+            jlo = jlo[parent]
+        del children, parent, death
         level += 1
 
     return {
@@ -391,6 +415,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
                          else np.empty(0, dtype=np.int64)),
         "snapshot_mass": (np.concatenate(snap_masses) if snap_masses
                           else np.empty(0)),
+        "peak_rows": np.array([peak_rows], dtype=np.int64),
     }
 
 
@@ -449,8 +474,8 @@ def run_ensemble(spec, cfg, n_runs, workers=None):
 
 def _merge_chunks(cfg, chunks, sizes):
     """One result from the chunk dicts in chunk order: the per-tag arrays
-    join along their run axis 1, and snapshot run ids are shifted by the
-    chunk's first run."""
+    join along their run axis 1, snapshot run ids are shifted by the
+    chunk's first run, and ``peak_rows`` keeps one entry per chunk."""
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     merged = {}
     for key in chunks[0]:
@@ -492,8 +517,10 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
     inv_phi = 1.0 / PhiEvaluator(spec).phi(abs_alpha)
     binary = spec.variant == BINARY_DENSITY
     if not binary:
-        cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
-        part_cum = _part_cum(_part_table(spec))
+        cum_w, _, _, sizes = atom_arrays(spec)
+        part_table = _part_table(spec)
+        part_cum = _part_cum(part_table)
+        last_col = part_table.shape[1] - 1
 
     m = np.ones(n)
     acc = np.zeros(n)
@@ -519,8 +546,10 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
                 atom_idx = np.searchsorted(cum_w, rng.random(k), side="right")
             part = _pick_part(part_cum, atom_idx, rng.random(k))
             died_dust = part == sizes[atom_idx]
-            frac = np.where(died_dust, 1.0, parts_flat[np.minimum(
-                offsets[atom_idx] + part, len(parts_flat) - 1)])
+            # the dust pick (part = the atom's size, possibly the table's
+            # width) keeps the mass; the lineage ends there anyway
+            frac = np.where(died_dust, 1.0, part_table[
+                atom_idx, np.minimum(part, last_col)])
         m[active] = m[active] * frac
         idx_killed = active[died_dust]
         killed[idx_killed] = True

@@ -262,6 +262,8 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
     (["identity", "--suite", "s2", "--alpha", "-1", "--runs", "1000",
       "--workers", "0"], "ConfigError"),
     (["verify", "--only", "8", "--workers", "0"], "ConfigError"),
+    (["simulate", "--alpha", "-1", "--runs", "10", "--max-events", "0"],
+     "ConfigError"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_malformed_options_fail_with_a_json_error(tmp_path, capsys, uniform2,
                                                   argv, error):

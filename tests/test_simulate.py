@@ -29,6 +29,10 @@ def test_config_validation():
         CascadeConfig(alpha=-1.0, checkpoints=(math.nan, 1.0))
     with pytest.raises(ConfigError):
         CascadeConfig(alpha=-1.0, tags=3)
+    # a cap below one event would truncate every run before its first split
+    for cap in (0, -5):
+        with pytest.raises(ConfigError):
+            CascadeConfig(alpha=-1.0, cutoff=0.1, max_events=cap)
 
 
 def test_mix_seed_is_frozen():
@@ -77,6 +81,7 @@ _GOLDEN_RUNS = {
         "shared_splits": ("int64", (4396,), "eabd00566ebb81f6"),
         "snapshot_run": ("int64", (10111,), "a41099340ee8e4c8"),
         "snapshot_mass": ("float64", (10111,), "5c2db42349b20b03"),
+        "peak_rows": ("int64", (2,), "e4a18577b740d1a1"),
     },
     "two-atom": {
         "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
@@ -93,6 +98,7 @@ _GOLDEN_RUNS = {
         "shared_splits": ("int64", (4396,), "b77cea39784e80b8"),
         "snapshot_run": ("int64", (3124,), "bcabcfeafc258840"),
         "snapshot_mass": ("float64", (3124,), "4452fbd8d90abe29"),
+        "peak_rows": ("int64", (2,), "9e05252a5fea8628"),
     },
 }
 # the same ensembles at alpha = -1/2, where the waiting-time rates take
@@ -113,6 +119,7 @@ _GOLDEN_RUNS_HALF = {
         "shared_splits": ("int64", (4396,), "eabd00566ebb81f6"),
         "snapshot_run": ("int64", (12044,), "b4ad3efec2d51c64"),
         "snapshot_mass": ("float64", (12044,), "907c8ca4646385e6"),
+        "peak_rows": ("int64", (2,), "e4a18577b740d1a1"),
     },
     "two-atom": {
         "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
@@ -129,6 +136,45 @@ _GOLDEN_RUNS_HALF = {
         "shared_splits": ("int64", (4396,), "b77cea39784e80b8"),
         "snapshot_run": ("int64", (18375,), "a66cc04208f0aa77"),
         "snapshot_mass": ("float64", (18375,), "0be356f1d5a20459"),
+        "peak_rows": ("int64", (2,), "9e05252a5fea8628"),
+    },
+}
+# the same ensembles at alpha = -2, where the waiting-time rates take
+# the 1/(x*x) form of ``_pow``
+_GOLDEN_RUNS_TWO = {
+    "uniform-2": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "7e9bdf04e54c0b7e"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "e7e84a0ab543508c"),
+        "largest": ("float64", (4396, 3), "bbc4f8252ee3e48d"),
+        "sum_masses": ("float64", (4396, 3), "d46914968c91a689"),
+        "sum_squares": ("float64", (4396, 3), "3f427228fca0d96a"),
+        "tag_mass": ("float64", (2, 4396, 3), "a71afbe9817035a1"),
+        "tag_death": ("float64", (2, 4396), "510510a2db2d3723"),
+        "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
+        "separation_time": ("float64", (4396,), "a4b68f1742159970"),
+        "shared_splits": ("int64", (4396,), "eabd00566ebb81f6"),
+        "snapshot_run": ("int64", (4743,), "774bb833bfd8ce19"),
+        "snapshot_mass": ("float64", (4743,), "5464fbc021df69b6"),
+        "peak_rows": ("int64", (2,), "e4a18577b740d1a1"),
+    },
+    "two-atom": {
+        "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
+        "zeta": ("float64", (4396,), "d7bff872840e056f"),
+        "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
+        "first_event": ("float64", (4396,), "3623e7cef13022ff"),
+        "largest": ("float64", (4396, 3), "6526a9ef70fa92ba"),
+        "sum_masses": ("float64", (4396, 3), "cb1ea5cb9dcefd01"),
+        "sum_squares": ("float64", (4396, 3), "9a351b2547776995"),
+        "tag_mass": ("float64", (2, 4396, 3), "5beb84a90d83a928"),
+        "tag_death": ("float64", (2, 4396), "864c76b64a3ce588"),
+        "tag_killed": ("bool", (2, 4396), "01db09d27965b304"),
+        "separation_time": ("float64", (4396,), "d66961a466418974"),
+        "shared_splits": ("int64", (4396,), "b77cea39784e80b8"),
+        "snapshot_run": ("int64", (508,), "5b4fb38d8d4ad456"),
+        "snapshot_mass": ("float64", (508,), "8c3bda932a924a43"),
+        "peak_rows": ("int64", (2,), "9e05252a5fea8628"),
     },
 }
 _GOLDEN_ZETA_TAG = {
@@ -162,6 +208,7 @@ _GOLDEN_SAMPLERS = {
         "shared_splits": ("int64", (4396,), "aab30c4a39318c3f"),
         "snapshot_run": ("int64", (10971,), "be16d416298cf99c"),
         "snapshot_mass": ("float64", (10971,), "cb4c674a377de8ce"),
+        "peak_rows": ("int64", (2,), "5bf7ca3caecbf755"),
     },
     "identical-3": {
         "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
@@ -178,6 +225,7 @@ _GOLDEN_SAMPLERS = {
         "shared_splits": ("int64", (4396,), "1d5ff6c49b44cdf1"),
         "snapshot_run": ("int64", (8177,), "83488e7c6198e9fa"),
         "snapshot_mass": ("float64", (8177,), "cf22fbe5cdeb2240"),
+        "peak_rows": ("int64", (2,), "51524e4fb35eed5b"),
     },
     "atoms-with-dust": {
         "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
@@ -194,6 +242,7 @@ _GOLDEN_SAMPLERS = {
         "shared_splits": ("int64", (4396,), "079431f93330604f"),
         "snapshot_run": ("int64", (968,), "6f68b814f3654be6"),
         "snapshot_mass": ("float64", (968,), "37401d5ce338a0e7"),
+        "peak_rows": ("int64", (2,), "ff7fded2bafc0a94"),
     },
     "truncated": {
         "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
@@ -210,6 +259,7 @@ _GOLDEN_SAMPLERS = {
         "shared_splits": ("int64", (4396,), "7a464d5112d256f9"),
         "snapshot_run": ("int64", (8835,), "649cfbaf4391de33"),
         "snapshot_mass": ("float64", (8835,), "4f2a5467e543d7ce"),
+        "peak_rows": ("int64", (2,), "3b4bbaba64a7b5ba"),
     },
 }
 _GOLDEN_ZETA_TAG_BETA = {
@@ -225,11 +275,12 @@ _GOLDEN_ZETA_TAG_BETA = {
 ])
 def test_replay_matches_frozen_digests(label, spec):
     """The replay contract across versions: every result field of a
-    two-chunk ensemble at alpha = -1 and -1/2, and one tagged-lineage draw
-    at each, hash to the values frozen under numpy 2.4.6.  A change that
-    alters the random stream or any arithmetic on it must re-freeze these
-    digests and say so."""
-    for alpha, golden in ((-1.0, _GOLDEN_RUNS), (-0.5, _GOLDEN_RUNS_HALF)):
+    two-chunk ensemble at alpha = -1, -1/2 and -2, and one tagged-lineage
+    draw at -1 and -1/2, hash to the values frozen under numpy 2.4.6.  A
+    change that alters the random stream or any arithmetic on it must
+    re-freeze these digests and say so."""
+    for alpha, golden in ((-1.0, _GOLDEN_RUNS), (-0.5, _GOLDEN_RUNS_HALF),
+                          (-2.0, _GOLDEN_RUNS_TWO)):
         cfg = CascadeConfig(alpha=alpha, cutoff=2.0 ** -6,
                             checkpoints=(0.5, 1.0, 2.0), seed=2024, tags=2,
                             snapshot_time=1.0)
@@ -292,6 +343,8 @@ def test_worker_count_does_not_change_results():
     serial = run_ensemble(EX2, cfg, n, workers=1)
     pooled = run_ensemble(EX2, cfg, n, workers=2)
     assert np.array_equal(serial.zeta, pooled.zeta)
+    assert serial.peak_rows.shape == (2,)
+    assert np.array_equal(serial.peak_rows, pooled.peak_rows)
 
 
 def test_analytic_family_cannot_be_simulated():
@@ -310,11 +363,14 @@ def test_deterministic_split_geometry():
     assert set(np.round(ens.sum_squares, 12).ravel()) <= {0.0, 0.25, 0.5, 1.0}
     assert set(np.round(ens.sum_masses, 12).ravel()) <= {0.0, 0.5, 1.0}
     assert np.all(ens.zeta >= ens.first_event)
+    # the widest frontier is the two halves of every run
+    assert ens.peak_rows.dtype == np.int64
+    assert ens.peak_rows.tolist() == [2 * 20]
 
 
 def test_many_part_split_keeps_every_child():
     # identical-130 at cutoff 1/200 keeps all 130 children of the root and
-    # none of theirs: exactly 131 events a run, a kept count past int8
+    # none of theirs: exactly 131 events a run, a split wider than 127
     for cap, truncated in ((131, False), (130, True)):
         cfg = CascadeConfig(alpha=-1.0, cutoff=1.0 / 200, max_events=cap,
                             checkpoints=(0.0,), seed=8, tags=1)
