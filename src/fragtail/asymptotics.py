@@ -173,8 +173,10 @@ class TailShape:
         object.__setattr__(self, "exp_terms", terms)
 
     def log_value(self, t):
-        """log of the shape (up to the unknown constant)."""
+        """log of the shape (up to the unknown constant) at finite t > 0."""
         t = np.asarray(t, dtype=float)
+        if not ((t > 0.0) & (t < math.inf)).all():
+            raise DomainError("tail shape is evaluated at finite t > 0")
         out = self.poly_exponent * np.log(t)
         for c, p in self.exp_terms:
             out = out - c * t ** p
@@ -444,7 +446,8 @@ def _y_decay_integral(evaluator, y_lo, y_hi):
         return 0.0
 
     def integrand(y, _ya, _by):
-        return 1.0 - y * evaluator.phi_prime(y) / evaluator.phi(y)
+        phi, dphi = evaluator.phi_pair(y)
+        return 1.0 - y * dphi / phi
 
     value, _, _ = tanh_sinh(integrand, y_lo, y_hi, rel_tol=_DECAY_RTOL)
     return value

@@ -9,7 +9,11 @@ point by point.
 Determinism contract: a solve for a given x always starts from the same
 deterministic bracket and runs the same safeguarded iteration on scalar phi
 values, so a point gets the bit-identical value whether it is solved alone,
-in any batch, in any order, or by concurrent callers.  The solver holds
+in any batch, in any order, or by concurrent callers.  Within one solve phi
+is evaluated once per distinct point: the ratios computed while bracketing
+are kept in a dict local to the call, so ``brentq`` reuses the values at
+its bracket ends and the residual check the value at the root it returns
+(brentq only ever returns a point it evaluated).  The solver holds
 nothing beyond its evaluator and the domain edge x_psi: every call solves
 afresh, and callers that need psi' or a decay integral at points they have
 already solved pass the solved values on (:meth:`PsiSolver.psi_prime_at`,
@@ -40,9 +44,6 @@ class PsiSolver:
         self.evaluator = evaluator
         self.x_psi = evaluator.x_psi()
 
-    def _ratio(self, y):
-        return y / self.evaluator.phi(y)
-
     def psi(self, x):
         """psi(x) for scalar, finite x > x_psi."""
         x = float(x)
@@ -51,26 +52,33 @@ class PsiSolver:
             raise DomainError(
                 f"psi is defined for x > x_psi = {self.x_psi:.6g}, got {x}")
 
+        seen = {}  # y -> y/phi(y), for this solve only
+
+        def ratio(y):
+            if y not in seen:
+                seen[y] = y / self.evaluator.phi(y)
+            return seen[y]
+
         # deterministic bracket: double up from max(1, x) until the ratio
         # exceeds x, halve down until it falls below
         hi = max(1.0, x)
         for _ in range(200):
-            if self._ratio(hi) >= x:
+            if ratio(hi) >= x:
                 break
             hi *= 2.0
         else:
             raise NumericalFailure(f"no upper bracket for psi({x})")
         lo = 0.5 * hi
         for _ in range(400):
-            if self._ratio(lo) <= x:
+            if ratio(lo) <= x:
                 break
             lo *= 0.5
         else:
             raise NumericalFailure(f"no lower bracket for psi({x})")
 
-        y = brentq(lambda v: self._ratio(v) - x, lo, hi,
+        y = brentq(lambda v: ratio(v) - x, lo, hi,
                    xtol=1e-300, rtol=_BRENT_RTOL, maxiter=300)
-        residual = abs(self._ratio(y) - x)
+        residual = abs(ratio(y) - x)
         if residual > _RTOL * x:
             raise NumericalFailure(
                 f"psi({x}) residual {residual:.3e} exceeds {_RTOL:.1e}*x",
@@ -91,8 +99,8 @@ class PsiSolver:
         y = psi(x), by implicit differentiation:
         psi'(x) = phi(y)^2 / (phi(y) - y phi'(y))."""
         ys = np.asarray(ys, dtype=float)
-        phi_y = self.evaluator.phi(ys)
-        denom = phi_y - ys * self.evaluator.phi_prime(ys)
+        phi_y, dphi_y = self.evaluator.phi_pair(ys)
+        denom = phi_y - ys * dphi_y
         if not np.all(denom > 0.0):
             raise NumericalFailure(
                 f"psi': nonpositive denominator {np.min(denom):.3e} violates "

@@ -6,7 +6,11 @@ For a dislocation measure nu the exponent is
     phi(x) = integral of (1 - sum_i s_i**(x+1)) nu(ds),  x >= 0.
 
 phi is increasing and concave, phi(x)/x is decreasing, and the whole tail
-machinery downstream consumes only phi and its derivative.  Atomic measures
+machinery downstream consumes only phi and its derivative.  Where both are
+needed at the same points, :meth:`PhiEvaluator.phi_pair` returns the two
+from the intermediates they share (the gamma-function ratio of the stable
+family, the two Beta moments, the exp table of an atomic measure), equal
+bit for bit to separate phi and phi' calls.  Atomic measures
 are evaluated by exact weighted sums, density measures by endpoint-aware
 tanh-sinh quadrature or by their log-gamma closed forms, and the
 infinite-rate tree families only by closed forms (their defining integrals
@@ -45,18 +49,24 @@ def _stirling_tail(z):
 
 def _switch(y, c, use_first, first, second):
     """first(y, c) where the mask use_first(y, c) holds and second(y, c)
-    elsewhere, over the broadcast of y and c; a float for two scalars."""
+    elsewhere, over the broadcast of y and c; a float for two scalars.
+
+    A uniform mask, which two scalars always give, runs its one branch on
+    the inputs as they are; only a mixed mask gathers and scatters."""
     y = np.asarray(y, dtype=float)
     c = np.asarray(c, dtype=float)
-    y_b, c_b = np.broadcast_arrays(y, c)
-    out = np.empty(y_b.shape)
-    mask = use_first(y_b, c_b)
-    rest = ~mask
-    if mask.any():
+    mask = use_first(y, c)
+    if mask.all():
+        out = first(y, c)
+    elif not mask.any():
+        out = second(y, c)
+    else:
+        y_b, c_b = np.broadcast_arrays(y, c)
+        rest = ~mask
+        out = np.empty(mask.shape)
         out[mask] = first(y_b[mask], c_b[mask])
-    if rest.any():
         out[rest] = second(y_b[rest], c_b[rest])
-    if np.ndim(y) == 0 and np.ndim(c) == 0:
+    if y.ndim == 0 and c.ndim == 0:
         return float(out)
     return out
 
@@ -229,9 +239,9 @@ def _phi_uniform(k, x):
     return -np.expm1(-log_prod)
 
 
-def _dphi_uniform(k, x):
+def _pair_uniform(k, x):
     e = np.exp(gammaln(k + 1.0) - gammaln_diff(x + 2.0, k - 1.0))
-    return e * digamma_diff(x + 2.0, k - 1.0)
+    return _phi_uniform(k, x), e * digamma_diff(x + 2.0, k - 1.0)
 
 
 # below this x, 1 - E[B**(x+1)] - E[(1-B)**(x+1)] cancels too much and
@@ -260,7 +270,10 @@ def _beta_moments(a, b, x):
 
 
 def _phi_beta(a, b, x):
-    eb, ec = _beta_moments(a, b, x)
+    return _beta_phi_from_moments(a, b, x, *_beta_moments(a, b, x))
+
+
+def _beta_phi_from_moments(a, b, x, eb, ec):
     out = np.asarray(1.0 - eb - ec)
     small = x < _BETA_SERIES_X
     if small.any():
@@ -275,76 +288,102 @@ def _phi_beta(a, b, x):
     return out
 
 
-def _dphi_beta(a, b, x):
+def _pair_beta(a, b, x):
     eb, ec = _beta_moments(a, b, x)
-    return (eb * digamma_diff(x + 1.0 + a, b)
+    return (_beta_phi_from_moments(a, b, x, eb, ec),
+            eb * digamma_diff(x + 1.0 + a, b)
             + ec * digamma_diff(x + 1.0 + b, a))
 
 
-def _phi_stable(g, x):
+def _stable_ratio(g, x):
     # gamma(x + 1 - 1/g)/gamma(x) written pole-free as x * ratio(.., x+1)
-    return g * x * np.exp(gammaln_diff(x + 1.0, -1.0 / g))
+    return np.exp(gammaln_diff(x + 1.0, -1.0 / g))
 
 
-def _dphi_stable(g, x):
-    ratio = np.exp(gammaln_diff(x + 1.0, -1.0 / g))
-    return g * ratio * (1.0 - x * digamma_diff(x + 1.0 - 1.0 / g, 1.0 / g))
+def _phi_stable(g, x):
+    return g * x * _stable_ratio(g, x)
 
 
-def _phi_ford(a, x):
+def _pair_stable(g, x):
+    ratio = _stable_ratio(g, x)
+    return (g * x * ratio,
+            g * ratio * (1.0 - x * digamma_diff(x + 1.0 - 1.0 / g, 1.0 / g)))
+
+
+def _ford_at_zero(a):
+    """The two gamma-function terms of ford's phi at x = 0."""
+    return (_gamma_ratio(1.0 - 2.0 * a, a),
+            math.exp(gammaln(2.0 - a) - gammaln(3.0 - 2.0 * a)))
+
+
+def _ford_g2(a, x):
+    return np.exp(-gammaln_diff(x + 2.0 - a, 1.0 - a))
+
+
+def _phi_ford(a, g1_0, g2_0, x, g2=None):
     g1 = _gamma_ratio(x + (1.0 - 2.0 * a), a)
-    g1_0 = _gamma_ratio(1.0 - 2.0 * a, a)
-    g2 = np.exp(-gammaln_diff(x + 2.0 - a, 1.0 - a))
-    g2_0 = math.exp(gammaln(2.0 - a) - gammaln(3.0 - 2.0 * a))
+    if g2 is None:
+        g2 = _ford_g2(a, x)
     return (g1 - g1_0) + (2.0 - 4.0 * a) * (g2_0 - g2)
 
 
-def _dphi_ford(a, x):
+def _pair_ford(a, g1_0, g2_0, x):
+    g2 = _ford_g2(a, x)
     d1 = _gamma_ratio_deriv(x + (1.0 - 2.0 * a), a)
-    g2 = np.exp(-gammaln_diff(x + 2.0 - a, 1.0 - a))
     d2 = -g2 * digamma_diff(x + 2.0 - a, 1.0 - a)
-    return d1 - (2.0 - 4.0 * a) * d2
+    return _phi_ford(a, g1_0, g2_0, x, g2), d1 - (2.0 - 4.0 * a) * d2
 
 
-def _phi_beta_splitting(beta, x):
-    g = _gamma_ratio(x + (2.0 * beta + 3.0), -beta - 1.0)
-    g0 = _gamma_ratio(2.0 * beta + 3.0, -beta - 1.0)
-    return g - g0
+def _beta_splitting_at_zero(beta):
+    """The gamma-function ratio of beta-splitting's phi at x = 0."""
+    return (_gamma_ratio(2.0 * beta + 3.0, -beta - 1.0),)
 
 
-def _dphi_beta_splitting(beta, x):
-    return _gamma_ratio_deriv(x + (2.0 * beta + 3.0), -beta - 1.0)
+def _phi_beta_splitting(beta, g0, x):
+    return _gamma_ratio(x + (2.0 * beta + 3.0), -beta - 1.0) - g0
 
 
-# family -> (parameter names, phi, phi') of the unscaled measure
+def _pair_beta_splitting(beta, g0, x):
+    return (_phi_beta_splitting(beta, g0, x),
+            _gamma_ratio_deriv(x + (2.0 * beta + 3.0), -beta - 1.0))
+
+
+# family -> (parameter names, phi, (phi, phi')) of the unscaled measure
 _CLOSED_FORMS = {
-    "uniform-k": (("k",), _phi_uniform, _dphi_uniform),
-    "beta": (("a", "b"), _phi_beta, _dphi_beta),
-    "stable": (("gamma",), _phi_stable, _dphi_stable),
-    "ford": (("a",), _phi_ford, _dphi_ford),
-    "beta-splitting": (("beta",), _phi_beta_splitting, _dphi_beta_splitting),
+    "uniform-k": (("k",), _phi_uniform, _pair_uniform),
+    "beta": (("a", "b"), _phi_beta, _pair_beta),
+    "stable": (("gamma",), _phi_stable, _pair_stable),
+    "ford": (("a",), _phi_ford, _pair_ford),
+    "beta-splitting": (("beta",), _phi_beta_splitting, _pair_beta_splitting),
 }
+# family -> constants of its phi that depend on the parameters alone; they
+# follow the parameters in the arguments of phi and of the pair
+_AT_ZERO = {"ford": _ford_at_zero, "beta-splitting": _beta_splitting_at_zero}
 # families whose phi' meets a Gamma pole at 0 for some parameters
 _POLE_AT_ZERO = ("ford", "beta-splitting")
 
 
+def _atomic_table(log_parts, x):
+    return np.exp(np.multiply.outer(x + 1.0, log_parts))
+
+
 def _atomic_phi(log_parts, weights, total, x):
-    return total - np.exp(np.multiply.outer(x + 1.0, log_parts)) @ weights
+    return total - _atomic_table(log_parts, x) @ weights
 
 
-def _atomic_dphi(log_parts, weights, x):
-    # the parts are added one at a time in a fixed order, not by a BLAS
+def _atomic_pair(log_parts, weights, total, x):
+    table = _atomic_table(log_parts, x)
+    # phi' adds the parts one at a time in a fixed order, not by a BLAS
     # product, whose summation order may depend on how many points are
     # evaluated together: a point's value must not depend on its batch
-    terms = (np.exp(np.multiply.outer(x + 1.0, log_parts))
-             * (weights * log_parts))
-    total = terms[..., 0]
+    terms = table * (weights * log_parts)
+    acc = terms[..., 0]
     for j in range(1, terms.shape[-1]):
-        total = total + terms[..., j]
-    return -total
+        acc = acc + terms[..., j]
+    return total - table @ weights, -acc
 
 
-def _quad_phi(spec, derivative, x):
+def _quad_phi(spec, x, derivative=False):
     """Unscaled phi (or phi') of a binary-density spec at each point of x,
     by tanh-sinh quadrature over the larger piece u in (1/2, 1); phi's
     integrand is summed as -[u expm1(x log u) + (1-u) expm1(x log(1-u))],
@@ -364,6 +403,17 @@ def _quad_phi(spec, derivative, x):
         return tanh_sinh(integrand, 0.5, 1.0, rel_tol=_QUAD_RTOL)[0]
 
     return np.array([one(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _quad_pair(spec, x):
+    return _quad_phi(spec, x), _quad_phi(spec, x, derivative=True)
+
+
+def _in_domain(x, name):
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0.0) & (x < math.inf)).all():
+        raise DomainError(f"{name} requires finite x >= 0")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +443,10 @@ class PhiEvaluator:
     defining integral of a binary-density spec: the independent cross-check
     of the closed forms, valid down to x = 0); ``auto`` picks atomic-sum for
     atomic specs and closed-form otherwise.  The method is resolved once,
-    here, which binds the unscaled pair (phi, phi') that every later call
-    evaluates.  Immutable and shareable: all methods are pure functions of
+    here, which binds the two unscaled functions every later call
+    evaluates: phi alone, and the pair (phi, phi') from shared
+    intermediates; constants that depend on the parameters alone are bound
+    with them.  Immutable and shareable: all methods are pure functions of
     their arguments.
     """
 
@@ -408,44 +460,51 @@ class PhiEvaluator:
             log_parts = np.log(parts_flat)
             weights = np.repeat(np.array([w for w, _ in spec.atoms]), sizes)
             total = math.fsum(w for w, _ in spec.atoms)
-            pair = (functools.partial(_atomic_phi, log_parts, weights, total),
-                    functools.partial(_atomic_dphi, log_parts, weights))
+            bound = (log_parts, weights, total)
+            phi, pair = _atomic_phi, _atomic_pair
         elif method == "quadrature":
             if spec.variant != BINARY_DENSITY:
                 raise DomainError(
                     "quadrature method needs a binary-density spec")
-            pair = (functools.partial(_quad_phi, spec, False),
-                    functools.partial(_quad_phi, spec, True))
+            bound = (spec,)
+            phi, pair = _quad_phi, _quad_pair
         elif method == "closed-form":
             if spec.family not in _CLOSED_FORMS:
                 raise DomainError(
                     f"no closed form registered for {spec.family!r}")
-            names, phi, dphi = _CLOSED_FORMS[spec.family]
-            params = [spec.param(name) for name in names]
-            pair = (functools.partial(phi, *params),
-                    functools.partial(dphi, *params))
+            names, phi, pair = _CLOSED_FORMS[spec.family]
+            bound = tuple(spec.param(name) for name in names)
+            if spec.family in _AT_ZERO:
+                bound += _AT_ZERO[spec.family](*bound)
         else:
             raise DomainError(f"unknown phi method {method!r}")
         self.spec = spec
         self.method = method
-        self._phi, self._dphi = pair
+        self._phi = functools.partial(phi, *bound)
+        self._pair = functools.partial(pair, *bound)
 
     # -- core evaluations ---------------------------------------------------
 
     def phi(self, x):
-        """phi(x) for scalar or array x >= 0."""
-        return self._scaled(self._phi, x, "phi")
+        """phi(x) for scalar or array finite x >= 0."""
+        x = _in_domain(x, "phi")
+        val = self.spec.scale * self._phi(x)
+        return float(val) if x.ndim == 0 else val
+
+    def phi_pair(self, x):
+        """(phi(x), phi'(x)) for scalar or array finite x >= 0, computed
+        from their shared intermediates; the two items equal phi(x) and
+        phi_prime(x) bit for bit."""
+        x = _in_domain(x, "phi_pair")
+        phi, dphi = self._pair(x)
+        scale = self.spec.scale
+        if x.ndim == 0:
+            return float(scale * phi), float(scale * dphi)
+        return scale * phi, scale * dphi
 
     def phi_prime(self, x):
-        """phi'(x) for scalar or array x >= 0."""
-        return self._scaled(self._dphi, x, "phi_prime")
-
-    def _scaled(self, base, x, name):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError(f"{name} requires x >= 0")
-        val = self.spec.scale * base(x)
-        return float(val) if x.ndim == 0 else val
+        """phi'(x) for scalar or array finite x >= 0."""
+        return self.phi_pair(x)[1]
 
     # -- derived quantities --------------------------------------------------
 
@@ -474,12 +533,13 @@ class PhiEvaluator:
         a diagnostic only, downstream operations proceed (with the caller
         free to warn) when it fails.
         """
-        if x_max < 100.0:
-            raise DomainError("check_hypothesis requires x_max >= 100")
+        if not 100.0 <= x_max < math.inf:
+            raise DomainError("check_hypothesis requires finite x_max >= 100")
         if n_grid < 2:
             raise DomainError("check_hypothesis requires n_grid >= 2")
         grid = np.geomspace(1.0, x_max, int(n_grid))
-        ratio = self.phi_prime(grid) * grid / self.phi(grid)
+        phi, dphi = self.phi_pair(grid)
+        ratio = dphi * grid / phi
         tail = ratio[len(grid) // 2:]
         tail_sup = float(np.max(tail))
         return RatioBoundReport(grid=grid, ratio=ratio, tail_sup=tail_sup,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -353,16 +354,34 @@ def _counting_psi(monkeypatch):
     return calls
 
 
+def _counting_phi(monkeypatch):
+    # phi' alone goes through phi_pair, so these two see every evaluation
+    calls = []
+    for name in ("phi", "phi_pair"):
+        real = getattr(PhiEvaluator, name)
+
+        def counted(self, x, real=real, name=name):
+            calls.append(name)
+            return real(self, x)
+
+        monkeypatch.setattr(PhiEvaluator, name, counted)
+    return calls
+
+
 def test_tail_pair_shares_one_integration(monkeypatch):
-    # a cold pair solves psi at t0 and t once each and integrates once
+    # a cold pair solves psi at t0 and t once each and integrates once; the
+    # phi-layer calls are pinned: 3 for x_psi, 21 in the two solves, 5
+    # pairs for the quadrature levels and 1 for psi'
     solves = _counting_psi(monkeypatch)
     calls = _counting_tanh_sinh(monkeypatch)
+    phi_calls = _counting_phi(monkeypatch)
     s = solver_for(M.make_stable(1.5))
     alpha = intrinsic_alpha(M.make_stable(1.5))
     extinction_log_tail(s, alpha, 120.0)
     tagged_log_tail(s, alpha, 120.0)
     assert len(solves) == 2
     assert len(calls) == 1
+    assert len(phi_calls) == 30
 
 
 def test_grid_solves_each_point_once(monkeypatch):
@@ -411,3 +430,177 @@ def test_tail_memo_bit_identical_and_exact_key(monkeypatch):
     assert len(calls) == 2
     fresh = tagged_log_tail(solver_for(M.make_uniform(2)), -1.0, 40.0, t0=6.0)
     assert tagged_log_tail(s, -1.0, 40.0, t0=6.0).log_value == fresh.log_value
+
+
+# ---------------------------------------------------------------------------
+# frozen digests of the whole exact route
+
+TAIL_TS = (30.0, 95.0, 400.0)
+TAIL_GRID = np.geomspace(50.0, 500.0, 13)
+_EXACT_ROUTE_CASES = {
+    "stable-1.25": (M.make_stable(1.25), "auto", 301),
+    "stable-1.5": (M.make_stable(1.5), "auto", 301),
+    "stable-2": (M.make_stable(2.0), "auto", 301),
+    "ford-0.5": (M.make_ford(0.5), "auto", 301),
+    "beta-splitting--1.6": (M.make_beta_splitting(-1.6), "auto", 301),
+    "uniform-2": (M.make_uniform(2), "auto", 301),
+    "beta-0.8-0.9": (M.make_beta(0.8, 0.9), "auto", 301),
+    "beta-2-3": (M.make_beta(2.0, 3.0), "auto", 301),
+    "identical-2": (M.make_identical(2), "auto", 301),
+    "atomic-0.6-0.3": (M.make_atomic([(1.0, (0.6, 0.3))]), "auto", 301),
+    "atomic-4-part": (M.make_atomic([(0.5, (0.6, 0.2)), (1.5, (0.9, 0.1))]),
+                      "auto", 301),
+    # every quadrature point is a tanh-sinh integral of its own
+    "beta-2-3-quadrature": (M.make_beta(2.0, 3.0), "quadrature", 31),
+}
+
+
+def _hex(values):
+    arr = np.ascontiguousarray(np.asarray(values, dtype=float))
+    return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+
+
+def _exact_route_digests(spec, method, n_points):
+    """SHA-256 prefixes of every layer of the exact route of one spec: phi
+    and phi' batched and one point at a time, x_psi with psi and psi' at
+    25 points, both log tails at three t and over the bench grid."""
+    ev = PhiEvaluator(spec, method=method)
+    xs = np.geomspace(1e-3, 1e5, n_points)
+    few = xs[::10].tolist()
+    s = PsiSolver(ev)
+    ys = s.psi_values(s.x_psi * (1.0 + 2e-6) + np.geomspace(1e-6, 1e3, 25))
+    alpha = intrinsic_alpha(spec) or -1.0
+    tails = [log_tail_grid(PsiSolver(ev), alpha, [t]) for t in TAIL_TS]
+    return {
+        "phi": _hex(ev.phi(xs)),
+        "phi_prime": _hex(ev.phi_prime(xs)),
+        "scalar": _hex([ev.phi(x) for x in few]
+                       + [ev.phi_prime(x) for x in few]),
+        "psi": _hex([s.x_psi, *ys]),
+        "psi_prime": _hex(s.psi_prime_at(ys)),
+        "tails": _hex(np.concatenate([np.concatenate(p) for p in tails])),
+        "grid": _hex(np.concatenate(log_tail_grid(s, alpha, TAIL_GRID))),
+    }
+
+
+_GOLDEN_EXACT_ROUTE = {
+    "stable-1.25": {
+        "phi": "7aafdbfea2741dad",
+        "phi_prime": "d27e88e2094a66b0",
+        "scalar": "fb9f77fc6ce06eeb",
+        "psi": "dcf051987c48a0eb",
+        "psi_prime": "467687ae1d28e883",
+        "tails": "ac479fa0ef7607e9",
+        "grid": "8eac46ce38e8e620",
+    },
+    "stable-1.5": {
+        "phi": "af6403cb1206659f",
+        "phi_prime": "9a353fec19fa5d4a",
+        "scalar": "ed9b84d8751c565e",
+        "psi": "8723479eb6e49555",
+        "psi_prime": "7a1de3b9f0b702a0",
+        "tails": "7ebbbf87b22b9a2b",
+        "grid": "e3534c44533661a4",
+    },
+    "stable-2": {
+        "phi": "c2ae735e09e740fe",
+        "phi_prime": "ec7f5c22d10f2509",
+        "scalar": "f4b38aedd02eb3b3",
+        "psi": "5c3548785ea273f6",
+        "psi_prime": "1b4183427b3ef529",
+        "tails": "e6b113b4b4754c07",
+        "grid": "1708c72083370b07",
+    },
+    "ford-0.5": {
+        "phi": "65220f3afb35fa8e",
+        "phi_prime": "b4ce095ab0cb21ab",
+        "scalar": "0c7675bc50b6043c",
+        "psi": "957f03c01a06e03a",
+        "psi_prime": "20e3542ec4112bcd",
+        "tails": "cda1ac31aa25daac",
+        "grid": "690557e50d9b3602",
+    },
+    "beta-splitting--1.6": {
+        "phi": "6af1f966ace7e72e",
+        "phi_prime": "9e5ae26a2109d3f8",
+        "scalar": "20a494c876905d0f",
+        "psi": "8add4fa5392bb3e8",
+        "psi_prime": "a48abfdb510e0694",
+        "tails": "94339a0195bdb3b2",
+        "grid": "3e432349c81c6a5a",
+    },
+    "uniform-2": {
+        "phi": "7c9f9b0a2eeece97",
+        "phi_prime": "352ecca2e43c99c7",
+        "scalar": "9d0351f9867c7754",
+        "psi": "e748592559433a36",
+        "psi_prime": "4dabb83c4852dbff",
+        "tails": "7668cd519ad511d2",
+        "grid": "14dea5a65a45007a",
+    },
+    "beta-0.8-0.9": {
+        "phi": "6980628b61972b26",
+        "phi_prime": "e724919ff4a79217",
+        "scalar": "30123d709d6d17b2",
+        "psi": "1ec82f25b99a80ed",
+        "psi_prime": "dac2e2d3ab7e5570",
+        "tails": "99949b4297a55c5d",
+        "grid": "63385d823d221821",
+    },
+    "beta-2-3": {
+        "phi": "4792059200e5e2e0",
+        "phi_prime": "47362a99c4962860",
+        "scalar": "9a9270ed4d9ad058",
+        "psi": "5e38a64c19a9278c",
+        "psi_prime": "a412ea1f712d5733",
+        "tails": "723c6b2908a01a13",
+        "grid": "ee553a5eea4af571",
+    },
+    "identical-2": {
+        "phi": "524f226f18d906bc",
+        "phi_prime": "af0ebd58097e0cef",
+        "scalar": "703a8cfcbfcc28dc",
+        "psi": "7f18877e249917d1",
+        "psi_prime": "359d97f8f080c54f",
+        "tails": "394efc91f12b8cfa",
+        "grid": "2a31c5372b3beb06",
+    },
+    "atomic-0.6-0.3": {
+        "phi": "384aeb9bab2a9737",
+        "phi_prime": "3f86cd4741db522e",
+        "scalar": "fd17b98caa9be3b6",
+        "psi": "18ec0511799ecfec",
+        "psi_prime": "002678fccc9e8c0d",
+        "tails": "bd9607029e2c99a4",
+        "grid": "dcb544c02c414c99",
+    },
+    "atomic-4-part": {
+        "phi": "63fa3fe30330dfd4",
+        "phi_prime": "6e7e161d434f4151",
+        "scalar": "ab47d80f52e0bac0",
+        "psi": "0d50f2cae4404d41",
+        "psi_prime": "f339b86b4e196054",
+        "tails": "fe97db3bd4397bf8",
+        "grid": "dafd01952a82b6d8",
+    },
+    "beta-2-3-quadrature": {
+        "phi": "cb2c49e06ae0c8ff",
+        "phi_prime": "16c77b8994533485",
+        "scalar": "437d4bfccfc15246",
+        "psi": "2f28004cd21be896",
+        "psi_prime": "d064e59d5c6e2535",
+        "tails": "9ab9264371d5ca3c",
+        "grid": "44e25abeb32b9ada",
+    },
+}
+
+
+@pytest.mark.parametrize("label", list(_GOLDEN_EXACT_ROUTE))
+def test_exact_route_matches_frozen_digests(label):
+    """phi, phi', psi, psi' and both log tails of each exact-tail spec, the
+    4-part atomic measure and quadrature beta(2, 3) hash to the values
+    frozen under numpy 2.4.6 and scipy 1.17.1: a speed-up of any layer of
+    the exact route must leave every bit of its output unchanged."""
+    spec, method, n_points = _EXACT_ROUTE_CASES[label]
+    assert _exact_route_digests(spec, method, n_points) \
+        == _GOLDEN_EXACT_ROUTE[label]

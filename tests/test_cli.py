@@ -264,6 +264,18 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
     (["verify", "--only", "8", "--workers", "0"], "ConfigError"),
     (["simulate", "--alpha", "-1", "--runs", "10", "--max-events", "0"],
      "ConfigError"),
+    (["phi", "--x", "nan"], "DomainError"),
+    (["phi", "--x", "inf"], "DomainError"),
+    (["hcheck", "--xmax", "nan"], "DomainError"),
+    (["hcheck", "--xmax", "inf"], "DomainError"),
+    (["tail", "--mode", "family", "--alpha", "-1", "--t", "nan"],
+     "DomainError"),
+    (["tail", "--mode", "family", "--alpha", "-1", "--t", "-5"],
+     "DomainError"),
+    (["tail", "--mode", "expansion", "--alpha", "-1", "--t", "nan"],
+     "DomainError"),
+    (["tail", "--mode", "expansion", "--alpha", "-1", "--t", "-5"],
+     "DomainError"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_malformed_options_fail_with_a_json_error(tmp_path, capsys, uniform2,
                                                   argv, error):

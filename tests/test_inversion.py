@@ -178,3 +178,23 @@ def test_psi_values_domain_guard():
     for bad in ([3.0, 1.0], [3.0, np.nan], [np.inf]):
         with pytest.raises(DomainError):
             s.psi_values(bad)
+
+
+@pytest.mark.parametrize("spec", REGISTRY)
+def test_one_solve_evaluates_phi_once_per_point(spec):
+    # the bracket ends and the returned root are not evaluated again
+    ev = PhiEvaluator(spec)
+    s = PsiSolver(ev)
+    seen = []
+
+    class Counting:
+        def phi(self, y):
+            seen.append(y)
+            return ev.phi(y)
+
+    s.evaluator = Counting()
+    for x in s.x_psi * (1.0 + 2e-6) + np.geomspace(1e-6, 1e3, 9):
+        seen.clear()
+        y = s.psi(float(x))
+        assert len(seen) == len(set(seen))
+        assert y in seen

@@ -9,6 +9,7 @@ from fragtail.errors import DomainError
 from fragtail.laplace import (PhiEvaluator, beta_gap_integral, digamma_diff,
                               gamma_quotient, gammaln_diff)
 
+FOUR_PART_ATOMIC = M.make_atomic([(0.5, (0.6, 0.2)), (1.5, (0.9, 0.1))])
 ALL_FAMILIES = [
     M.make_identical(2),
     M.make_identical(3),
@@ -22,7 +23,7 @@ ALL_FAMILIES = [
     M.make_ford(0.7),
     M.make_beta_splitting(-1.9),
     M.make_beta_splitting(-1.5),
-    M.make_atomic([(0.5, (0.6, 0.2)), (1.5, (0.9, 0.1))]),
+    FOUR_PART_ATOMIC,
 ]
 
 
@@ -35,6 +36,29 @@ def test_batch_invariant_phi_prime(spec):
     assert [float(v) for v in batch] == [ev.phi_prime(float(x)) for x in xs]
     assert [float(v) for v in batch] == [float(ev.phi_prime(xs[i:i + 1])[0])
                                         for i in range(len(xs))]
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES)
+def test_phi_pair_is_phi_and_phi_prime(spec):
+    # the pair shares intermediates but not a bit of its result: each item
+    # equals the separate call, batched or one point at a time
+    ev = PhiEvaluator(spec)
+    xs = np.geomspace(1e-3, 1e4, 25)
+    phi, dphi = ev.phi_pair(xs)
+    assert np.array_equal(phi, ev.phi(xs))
+    assert np.array_equal(dphi, ev.phi_prime(xs))
+    singles = [ev.phi_pair(x) for x in xs.tolist()]
+    assert singles == [(ev.phi(x), ev.phi_prime(x)) for x in xs.tolist()]
+    slices = [ev.phi_pair(xs[i:i + 1]) for i in range(len(xs))]
+    # batch-invariant like phi' (above), and like phi where phi is: an
+    # atomic phi is a BLAS product over the parts, whose summation order
+    # depends on the batch, and 4 of these 25 points of the 4-part measure
+    # move by an ulp between a batch and a single point
+    assert [d for _, d in singles] == dphi.tolist()
+    assert [float(d[0]) for _, d in slices] == dphi.tolist()
+    if spec is not FOUR_PART_ATOMIC:
+        assert [p for p, _ in singles] == phi.tolist()
+        assert [float(p[0]) for p, _ in slices] == phi.tolist()
 
 
 def test_uniform_two_closed_form():
