@@ -434,23 +434,29 @@ def default_t0(solver, alpha):
 
 
 def _y_decay_integral(evaluator, y_lo, y_hi):
-    """integral of (1 - y phi'(y)/phi(y)) dy over [y_lo, y_hi].
+    """integral of (1 - y phi'(y)/phi(y)) dy over [y_lo, y_hi], for each
+    pair of ends of two equal-shape arrays, in one quadrature call.
 
     This is |alpha| times the decay integral of psi(|alpha| r)/(|alpha| r)
     dr between the points whose psi values are y_lo and y_hi: substituting
     y = psi(|alpha| r), so that |alpha| r = y/phi(y) and
     psi(|alpha| r)/(|alpha| r) = phi(y), needs psi at the two ends only.
-    The integrand is smooth and lies in (0, 1).
+    The integrand is smooth and lies in (0, 1).  A segment of zero width
+    integrates to 0 without evaluating anything.
     """
-    if y_hi == y_lo:
-        return 0.0
+    y_lo = np.asarray(y_lo, dtype=float)
+    y_hi = np.asarray(y_hi, dtype=float)
 
     def integrand(y, _ya, _by):
         phi, dphi = evaluator.phi_pair(y)
         return 1.0 - y * dphi / phi
 
-    value, _, _ = tanh_sinh(integrand, y_lo, y_hi, rel_tol=_DECAY_RTOL)
-    return value
+    out = np.zeros(y_lo.shape)
+    wide = y_hi != y_lo
+    if wide.any():
+        out[wide] = tanh_sinh(integrand, y_lo[wide], y_hi[wide],
+                              rel_tol=_DECAY_RTOL)[0]
+    return out
 
 
 def _check_window(solver, alpha, t, t0):
@@ -474,11 +480,14 @@ def log_tail_grid(solver, alpha, ts, t0=None):
     with the decay integral of psi(|a| r)/(|a| r) over [t0, t].  psi is
     solved once at t0 and at each grid point, and nowhere else: the decay
     integral is the running sum over consecutive grid segments of the
-    y-space integral between those solved values, and psi' comes from the
-    same values as phi(y)^2/(phi(y) - y phi'(y)).
+    y-space integral between those solved values, one quadrature call for
+    every segment, and psi' comes from the same values as
+    phi(y)^2/(phi(y) - y phi'(y)).
     """
     alpha = as_alpha(alpha)
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise DomainError("grid must be a non-empty 1-d sequence")
     if np.any(np.diff(ts) <= 0.0):
         raise DomainError("grid must be strictly increasing")
     if t0 is None:
@@ -486,10 +495,8 @@ def log_tail_grid(solver, alpha, ts, t0=None):
     _check_window(solver, alpha, float(ts[0]), t0)
     a_abs = alpha.abs
     ys = solver.psi_values(a_abs * np.concatenate(([t0], ts)))
-    ends = ys.tolist()
-    integral = np.cumsum([
-        _y_decay_integral(solver.evaluator, lo, hi) / a_abs
-        for lo, hi in zip(ends[:-1], ends[1:])])
+    integral = np.cumsum(
+        _y_decay_integral(solver.evaluator, ys[:-1], ys[1:]) / a_abs)
     psi_t = ys[1:]
     half_log_dpsi = 0.5 * np.log(solver.psi_prime_at(psi_t))
     log_ext = ((1.0 / a_abs - 1.0) * np.log(psi_t / ts) + half_log_dpsi

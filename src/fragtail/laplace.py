@@ -512,14 +512,19 @@ class PhiEvaluator:
         """Left edge of the domain of the inverse function psi.
 
         Equals lim_{x->0+} x/phi(x): the reciprocal of phi'(0+) for
-        conservative measures (phi(0) = 0), and 0 when phi(0) > 0.
+        conservative measures (phi(0) = 0), and 0 when phi(0) > 0.  Where
+        phi' is finite at 0, one :meth:`phi_pair` call at 0 gives both;
+        the quadrature method and the families whose phi' may meet a Gamma
+        pole at 0 take the Richardson limit of x/phi(x) instead.
         """
-        phi0 = self.phi(1e-12)  # phi(0) for conservative specs is exactly 0
-        if self.phi(0.0) > 1e-12 * max(1.0, phi0):
-            return 0.0
         if (self.method != "quadrature"
                 and self.spec.family not in _POLE_AT_ZERO):
-            return 1.0 / self.phi_prime(0.0)
+            phi0, dphi0 = self.phi_pair(0.0)
+            # phi(0) for conservative specs is exactly 0
+            return 0.0 if phi0 > 1e-12 else 1.0 / dphi0
+        phi0 = self.phi(1e-12)
+        if self.phi(0.0) > 1e-12 * max(1.0, phi0):
+            return 0.0
         # Richardson limit of x/phi(x); error O(h^2)
         h = 1e-6
         r1 = h / self.phi(h)

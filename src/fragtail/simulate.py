@@ -104,6 +104,17 @@ def _part_cum(part_table):
     return cum
 
 
+def _pick_atom(cum_w, u):
+    """Atom of each uniform u < 1, for two or more atoms: the count of
+    thresholds cum_w[:-1] <= u, the index np.searchsorted(cum_w, u,
+    side="right") gives as cum_w[-1] = 1.  One pass over u per threshold,
+    so the cost grows with the number of atoms."""
+    idx = (u >= cum_w[0]).astype(np.intp)
+    for c in cum_w[1:-1]:
+        idx += u >= c
+    return idx
+
+
 def _pick_part(part_cum, atom, r):
     """Part count(r >= row) of each pick's atom row; the atom's size means
     the dust residual.  Summing within one atom keeps r < 1 from rounding
@@ -338,8 +349,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             np.multiply(mass, s1, out=child_mass[:, 0])
             np.multiply(mass, 1.0 - s1, out=child_mass[:, 1])
         else:
-            atom_idx = 0 if single_atom else np.searchsorted(
-                cum_w, rng.random(m), side="right")
+            atom_idx = 0 if single_atom else _pick_atom(cum_w, rng.random(m))
             for j, col in enumerate(part_cols):
                 np.multiply(mass, col[atom_idx], out=child_mass[:, j])
         # the kept children in frontier order: a flat index of the keep
@@ -543,7 +553,7 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
             if len(sizes) == 1:
                 atom_idx = np.zeros(k, dtype=np.int64)
             else:
-                atom_idx = np.searchsorted(cum_w, rng.random(k), side="right")
+                atom_idx = _pick_atom(cum_w, rng.random(k))
             part = _pick_part(part_cum, atom_idx, rng.random(k))
             died_dust = part == sizes[atom_idx]
             # the dust pick (part = the atom's size, possibly the table's

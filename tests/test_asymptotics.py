@@ -100,6 +100,9 @@ def test_decay_integral_guards():
     s = solver_for(M.make_uniform(2))
     with pytest.raises(DomainError):
         extinction_log_tail(s, -1.0, 4.0, t0=1.0)  # t0 below domain
+    for grid in ([8.0, 8.0], [9.0, 8.0], [], [[8.0, 9.0], [10.0, 11.0]]):
+        with pytest.raises(DomainError):
+            log_tail_grid(s, -1.0, grid)
 
 
 # --- expansion engine --------------------------------------------------------
@@ -370,8 +373,9 @@ def _counting_phi(monkeypatch):
 
 def test_tail_pair_shares_one_integration(monkeypatch):
     # a cold pair solves psi at t0 and t once each and integrates once; the
-    # phi-layer calls are pinned: 3 for x_psi, 21 in the two solves, 5
-    # pairs for the quadrature levels and 1 for psi'
+    # phi-layer calls are pinned: 1 for x_psi, 21 in the two solves, 1 pair
+    # for the quadrature levels 0..4, where the integral stops, and 1 for
+    # psi'
     solves = _counting_psi(monkeypatch)
     calls = _counting_tanh_sinh(monkeypatch)
     phi_calls = _counting_phi(monkeypatch)
@@ -381,7 +385,33 @@ def test_tail_pair_shares_one_integration(monkeypatch):
     tagged_log_tail(s, alpha, 120.0)
     assert len(solves) == 2
     assert len(calls) == 1
-    assert len(phi_calls) == 30
+    assert len(phi_calls) == 24
+
+
+@pytest.mark.parametrize("spec", [
+    M.make_uniform(2), M.make_beta(2.0, 3.0), M.make_stable(1.5),
+    M.make_identical(2)], ids=["uniform-2", "beta-2-3", "stable-1.5",
+                               "identical-2"])
+def test_x_psi_is_one_phi_pair(monkeypatch, spec):
+    # phi(0) and phi'(0) from one pair call where phi' is finite at 0
+    calls = _counting_phi(monkeypatch)
+    PhiEvaluator(spec).x_psi()
+    assert calls == ["phi_pair"]
+
+
+def test_grid_starting_at_t0_integrates_nothing_there(monkeypatch):
+    # ts[0] == t0 is a zero-width first segment: its integral is 0 and the
+    # one quadrature call covers the other segments only
+    calls = _counting_tanh_sinh(monkeypatch)
+    spec = M.make_stable(1.5)
+    s = solver_for(spec)
+    alpha = intrinsic_alpha(spec)
+    t0 = default_t0(s, alpha)
+    _, log_tag = log_tail_grid(s, alpha, [t0, 2.0 * t0, 3.0 * t0], t0)
+    assert len(calls) == 1 and np.shape(calls[0][0]) == (2,)
+    y0 = s.psi(-alpha * t0)
+    prefactor = math.log(t0 * math.sqrt(s.psi_prime(-alpha * t0)) / y0)
+    assert abs(log_tag[0] - prefactor) <= 1e-13 * abs(prefactor)
 
 
 def test_grid_solves_each_point_once(monkeypatch):
@@ -391,7 +421,7 @@ def test_grid_solves_each_point_once(monkeypatch):
     ts = np.geomspace(50.0, 500.0, 13)
     log_tail_grid(solver_for(spec), intrinsic_alpha(spec), ts)
     assert len(solves) == len(ts) + 1
-    assert len(calls) == len(ts)
+    assert len(calls) == 1
 
 
 def test_scalar_tails_are_the_one_point_grid():

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from fragtail.errors import NumericalFailure
-from fragtail.quadrature import tanh_sinh
+from fragtail.quadrature import _FIRST_LEVELS, _nodes, tanh_sinh
 
 
 def beta_exact(p, q):
@@ -53,6 +53,82 @@ def test_node_cap_failure_reports_achieved():
 def test_inverted_interval_rejected():
     with pytest.raises(NumericalFailure):
         tanh_sinh(lambda x, a, b: x, 1.0, 0.5)
+    with pytest.raises(NumericalFailure):
+        tanh_sinh(lambda x, a, b: x, np.array([0.0, 1.0]),
+                  np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        tanh_sinh(lambda x, a, b: x, np.zeros(2), np.ones(3))
+
+
+def _level_by_level(f, a, b, rel_tol=1e-10):
+    """The one-interval rule evaluated one level per integrand call: the
+    reference the batched evaluation must reproduce bit for bit.  Returns
+    (value, err_estimate, level it stopped at)."""
+    width = b - a
+    prev = None
+    level = 0
+    while True:
+        u, um1, w = _nodes(level)
+        vals = np.asarray(f(a + width * u, width * u, width * um1),
+                          dtype=float)
+        assert np.all(np.isfinite(vals * w))
+        total = width * float(np.dot(w, vals))
+        if level:
+            total = 0.5 * prev + total
+            err = abs(total - prev) / max(abs(total), 1e-300)
+            if err <= rel_tol:
+                return total, err, level
+        prev = total
+        level += 1
+
+
+def _mixed(x, xma, bmx):
+    # smooth left of 100, an endpoint singularity right of it
+    return np.where(x < 100.0, np.cos(x), bmx ** -0.9)
+
+
+def test_array_endpoints_give_each_interval_alone():
+    # intervals that stop before, at and after the last level of the first
+    # integrand call, in one call, each bit for bit its one-interval result
+    a = np.array([0.0, 0.0, 0.0, 100.0, 0.0, 0.0])
+    b = np.array([0.5, 30.0, 6.0, 101.0, 60.0, 9.0])
+    ref = [_level_by_level(_mixed, lo, hi) for lo, hi in zip(a, b)]
+    levels = {level for _, _, level in ref}
+    assert min(levels) < _FIRST_LEVELS - 1 < max(levels)
+    assert _FIRST_LEVELS - 1 in levels
+    for shape in ((6,), (2, 3)):
+        value, err, n_nodes = tanh_sinh(_mixed, a.reshape(shape),
+                                        b.reshape(shape))
+        assert type(n_nodes) is int
+        assert value.shape == err.shape == shape
+        assert value.ravel().tolist() == [v for v, _, _ in ref]
+        assert err.ravel().tolist() == [e for _, e, _ in ref]
+    for (v, e, _), lo, hi in zip(ref, a, b):
+        value, err, _ = tanh_sinh(_mixed, float(lo), float(hi))
+        assert type(value) is float and (value, err) == (v, e)
+
+
+def test_nonfinite_past_convergence_is_never_seen():
+    # nan at the nodes of the first call's last level: an interval that
+    # stops before that level returns its value, one that reaches it fails
+    # (near 1, nodes of several levels round to the same u)
+    deep = _nodes(_FIRST_LEVELS - 1)[0]
+    deep = deep[deep < 0.5]
+
+    def poisoned(x, xma, bmx):
+        return np.where(np.isin(x, deep), np.nan, 1.0 + x * x)
+
+    value, err, level = _level_by_level(lambda x, xma, bmx: 1.0 + x * x,
+                                        0.0, 1.0)
+    assert level < _FIRST_LEVELS - 1
+    assert tanh_sinh(poisoned, 0.0, 1.0)[:2] == (value, err)
+
+    def poisoned_early(x, xma, bmx):
+        early = _nodes(1)[0]
+        return np.where(np.isin(x, early[early < 0.5]), np.nan, 1.0 + x * x)
+
+    with pytest.raises(NumericalFailure):
+        tanh_sinh(poisoned_early, 0.0, 1.0)
 
 
 def test_node_tables_built_once_and_read_only():

@@ -316,6 +316,24 @@ def test_sampler_paths_match_frozen_digests(label, spec, cutoff, max_events):
     assert _digests(vars(ens)) == _GOLDEN_SAMPLERS[label]
 
 
+@pytest.mark.parametrize("atoms", [2, 3, 7, 40])
+def test_atom_pick_is_searchsorted(atoms):
+    # the threshold count equals the binary search it replaces, on the
+    # thresholds themselves, next to them and next to 1 as well
+    from fragtail.simulate import _pick_atom
+    rng = _generator(atoms)
+    weights = rng.random(atoms)
+    spec = M.make_atomic([(w, (0.5, 0.5)) for w in weights])
+    cum_w = M.atom_arrays(spec)[0]
+    u = np.concatenate([rng.random(5000), cum_w[:-1],
+                        np.nextafter(cum_w[:-1], 0.0),
+                        np.nextafter(cum_w[:-1], 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    picked = _pick_atom(cum_w, u)
+    assert picked.dtype == np.intp
+    assert np.array_equal(picked, np.searchsorted(cum_w, u, side="right"))
+
+
 class _AlmostOne:
     """Generator stand-in whose every uniform is the largest double below 1."""
 
