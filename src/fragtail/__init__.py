@@ -20,13 +20,12 @@ from .measures import (DislocationSpec, intrinsic_alpha, load_measure,
                        make_atomic, make_beta, make_beta_splitting,
                        make_ford, make_identical, make_stable, make_uniform,
                        total_mass)
-from .laplace import PhiEvaluator, beta_gap_integral, gamma_quotient
+from .laplace import PhiEvaluator
 from .inversion import PsiSolver
-from .asymptotics import (AlphaIndex, ExpansionSpec, TailShape,
-                          brownian_excursion_max_tail, default_t0,
+from .asymptotics import (AlphaIndex, ExpansionSpec, TailShape, default_t0,
                           expand_psi_over_x, extinction_log_tail,
-                          family_tail_shape, log_tail_grid, phi_expansion,
-                          tagged_log_tail, tail_ratio,
+                          family_tail_shape, kennedy_log_tail, log_tail_grid,
+                          phi_expansion, tagged_log_tail, tail_ratio,
                           tail_shape_from_expansion)
 from .simulate import (CascadeConfig, EnsembleResult, run_ensemble,
                        sample_zeta_tag)

@@ -399,14 +399,27 @@ def family_tail_shape(spec, alpha=None):
     raise ConfigError(f"no closed shape registered for family {fam!r}")
 
 
-def brownian_excursion_max_tail(t):
-    """First-order tail 8 t**2 exp(-2 t**2) of the maximum of a standard
-    Brownian excursion; the benchmark constant every consistency check in
-    this package is anchored to."""
+def kennedy_log_tail(t):
+    """log P(zeta > t) for the extinction time zeta of the unit-rate
+    stable(2) cascade, at finite t >= 1.
+
+    zeta is sqrt(2) times the maximum of a standard Brownian excursion, whose
+    law is Kennedy's series (J. Appl. Probab. 1976):
+
+        P(zeta > t) = 2 sum_{k>=1} (2 k**2 t**2 - 1) exp(-k**2 t**2).
+
+    For t >= 1 every term is positive and the terms past the eighth sum to
+    below 1e-32 of the first, so eight terms summed in log domain keep full
+    precision at any survival level.  Below t = 1 the leading terms cancel.
+    """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("tail is evaluated at t > 0")
-    out = 8.0 * t ** 2 * np.exp(-2.0 * t ** 2)
+    if not ((t >= 1.0) & (t < math.inf)).all():
+        raise DomainError("Kennedy's series is evaluated at finite t >= 1")
+    k2 = np.arange(1.0, 9.0).reshape((-1,) + (1,) * t.ndim) ** 2
+    kt2 = k2 * (t * t)
+    log_terms = np.log(2.0 * kt2 - 1.0) - kt2
+    out = (math.log(2.0) + log_terms[0]
+           + np.log1p(np.exp(log_terms[1:] - log_terms[0]).sum(axis=0)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -268,16 +268,25 @@ def _read_samples(path, column):
         if not has_header_comment:
             fh.seek(0)
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if column not in header:
             raise ConfigError(
                 f"column {column!r} not in {path!r} (have {header})")
         idx = header.index(column)
-        return np.array([float(row[idx]) for row in reader if row])
+        try:
+            return np.array([float(row[idx]) for row in reader if row])
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"column {column!r} of {path!r} has a short "
+                              f"row or a non-numeric cell: {exc}") from exc
 
 
 def cmd_fit(args):
     lo, hi = _comma_list(args.window, "--window", count=2)
+    if not 0.0 < lo < hi <= 1.0:
+        raise ConfigError(
+            f"--window takes survival levels 0 < lo < hi <= 1, got {lo}, {hi}")
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     samples = _read_samples(args.samples, args.column)
     try:
         with open(args.shape) as fh:

@@ -13,9 +13,8 @@ family, the two Beta moments, the exp table of an atomic measure), equal
 bit for bit to separate phi and phi' calls.  Atomic measures
 are evaluated by exact weighted sums, density measures by endpoint-aware
 tanh-sinh quadrature or by their log-gamma closed forms, and the
-infinite-rate tree families only by closed forms (their defining integrals
-do not converge against 1 - u**x without the gamma-function decomposition
-implemented in :func:`beta_gap_integral`).
+infinite-rate tree families only by closed forms, because their specs hold
+no split density to integrate.
 """
 
 from __future__ import annotations
@@ -163,66 +162,6 @@ def _gamma_ratio_deriv(base, c):
         lambda b, c: np.exp(gammaln_diff(b, c)) * digamma_diff(b, c),
         lambda b, c: gamma_fn(b + c) * (digamma(b + c) * rgamma(b)
                                         - _rgamma_psi(b)))
-
-
-@dataclass(frozen=True)
-class GammaQuotient:
-    """Gamma(x+c)/Gamma(x) evaluated exactly and by its two-term large-x
-    expansion x**c (1 - c(1-c)/(2x)); the difference is O(x**(c-2))."""
-
-    exact: float
-    expansion2: float
-
-
-def gamma_quotient(x, c):
-    if not x > max(0.0, -c):
-        raise DomainError(f"gamma_quotient requires x > max(0, -c), got x={x}")
-    exact = math.exp(gammaln_diff(x, c))
-    expansion2 = x ** c * (1.0 - c * (1.0 - c) / (2.0 * x))
-    return GammaQuotient(exact=exact, expansion2=expansion2)
-
-
-@dataclass(frozen=True)
-class BetaGapIntegral:
-    """The weighted moment gap (1/Gamma(b)) * int_0^1 (1-u^x) u^(a-1) (1-u)^(b-1) du.
-
-    ``gamma_form`` is the exact gamma-function value
-    Gamma(a)/Gamma(a+b) - Gamma(x+a)/Gamma(x+a+b), valid for all b > -1
-    through analytic continuation of 1/Gamma.  ``quadrature`` evaluates the
-    defining integral directly; it only converges for b > 0 and is None
-    otherwise.
-    """
-
-    gamma_form: float
-    quadrature: float
-    quad_error: float
-
-
-def beta_gap_integral(a, b, x):
-    if a <= 0.0 or b <= -1.0 or x < 0.0:
-        raise DomainError(
-            f"beta_gap_integral requires a>0, b>-1, x>=0, got {(a, b, x)}")
-    gamma_form = float(_gamma_ratio(a + b, -b) - _gamma_ratio(x + a + b, -b))
-    if x == 0.0:  # integrand vanishes identically
-        return BetaGapIntegral(gamma_form=gamma_form,
-                               quadrature=0.0 if b > 0.0 else None,
-                               quad_error=0.0 if b > 0.0 else None)
-    quad = None
-    err = None
-    if b > 0.0:
-        inv_gamma_b = float(rgamma(b))
-
-        def integrand(u, uma, bmx):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                one_minus_ux = -np.expm1(x * np.log1p(-bmx))
-                one_minus_ux = np.where(bmx >= 1.0, 1.0, one_minus_ux)
-            return (one_minus_ux * np.exp((a - 1.0) * np.log(u)
-                                          + (b - 1.0) * np.log(bmx))
-                    * inv_gamma_b)
-
-        quad, err, _ = tanh_sinh(integrand, 0.0, 1.0, rel_tol=_QUAD_RTOL)
-    return BetaGapIntegral(gamma_form=gamma_form, quadrature=quad,
-                           quad_error=err)
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,14 @@ class CascadeConfig:
         if not 0.0 < self.cutoff < 1.0:
             raise ConfigError("dust cutoff must lie in (0, 1)")
         cps = tuple(float(t) for t in self.checkpoints)
-        if not all(map(math.isfinite, cps)) or any(
+        if not all(0.0 <= t < math.inf for t in cps) or any(
                 cps[i] > cps[i + 1] for i in range(len(cps) - 1)):
-            raise ConfigError(f"checkpoints must be finite and sorted: {cps}")
+            raise ConfigError(
+                f"checkpoints must be finite, at least 0 and sorted: {cps}")
+        if (self.snapshot_time is not None
+                and not 0.0 <= self.snapshot_time < math.inf):
+            raise ConfigError(f"snapshot_time must be finite and at least 0, "
+                              f"got {self.snapshot_time}")
         if self.tags not in (0, 1, 2):
             raise ConfigError("tags must be 0, 1 or 2")
         if not self.max_events >= 1:

@@ -6,11 +6,11 @@ import pytest
 
 from fragtail import measures as M
 from fragtail.asymptotics import (AlphaIndex, ExpansionSpec, TailShape,
-                                  _y_decay_integral,
-                                  brownian_excursion_max_tail, default_t0,
+                                  _y_decay_integral, default_t0,
                                   expand_psi_over_x,
                                   extinction_log_tail, family_tail_shape,
-                                  log_tail_grid, phi_expansion,
+                                  kennedy_log_tail, log_tail_grid,
+                                  phi_expansion,
                                   tagged_log_tail, tail_ratio,
                                   tail_shape_from_expansion)
 from fragtail.errors import (ConfigError, DomainError, UncoveredRegion,
@@ -269,14 +269,22 @@ def test_tail_shape_normalization():
         TailShape(0.0, ())
 
 
-def test_brownian_excursion_tail():
-    assert abs(brownian_excursion_max_tail(1.0) - 8.0 * math.exp(-2.0)) \
-        < 1e-14
-    ts = np.linspace(0.75, 5.0, 40)
-    vals = brownian_excursion_max_tail(ts)
-    assert np.all(np.diff(vals) < 0.0)  # decreasing beyond t^2 = 1/2
-    with pytest.raises(DomainError):
-        brownian_excursion_max_tail(0.0)
+def test_kennedy_series_against_mpmath():
+    # 39 terms at 40 digits; t >= 1 is where the series needs no cancelling
+    mp = pytest.importorskip("mpmath")
+    ts = [1.0, 1.3, 2.0, 5.0, 30.0, 200.0, 400.0]
+    got = kennedy_log_tail(np.array(ts))
+    for t, g in zip(ts, got):
+        with mp.workdps(40):
+            tm = mp.mpf(t)
+            ref = float(mp.log(2 * mp.fsum(
+                (2 * k * k * tm * tm - 1) * mp.exp(-k * k * tm * tm)
+                for k in range(1, 40))))
+        assert abs(g - ref) <= 1e-15 * max(1.0, abs(ref))
+        assert kennedy_log_tail(t) == g  # scalar is the one-point array
+    for bad in (0.99, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            kennedy_log_tail(bad)
 
 
 def test_pipeline_agreement_single_family():

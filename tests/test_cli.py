@@ -215,6 +215,18 @@ def test_identity_verb(capsys, uniform2):
     assert len(out["rows"]) == 2
 
 
+@pytest.mark.parametrize("suite", ["tagmass", "separation", "joint"])
+def test_identity_with_zero_difference_on_every_run(capsys, uniform2, suite):
+    # at t = 0 and past every run's extinction both sides agree run by run,
+    # so the identity holds exactly: mean difference and stderr are both 0
+    code, out = run_json(capsys, [
+        "identity", "--suite", suite, "--measure", uniform2, "--alpha", "-1",
+        "--runs", "200", "--cutoff", "0.01", "--checkpoints", "0,1e6"])
+    assert code == 0
+    assert [(r["mean_diff"], r["stderr"], r["z"]) for r in out["rows"]] \
+        == [(0.0, 0.0, 0.0)] * 2
+
+
 def test_exit_codes(capsys, uniform2, stable2):
     assert main(["psi", "--measure", uniform2, "--x", "1.0"]) == 1
     err = json.loads(capsys.readouterr().err)
@@ -243,9 +255,16 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
 @pytest.mark.parametrize("argv,error", [
     (["fit", "--window", "a,b"], "ConfigError"),
     (["fit", "--window", "1e-3"], "ConfigError"),
+    (["fit", "--window", "0,0.2"], "ConfigError"),
+    (["fit", "--levels", "-1"], "ConfigError"),
+    (["fit", "--samples", "bad_cell.csv"], "ConfigError"),
+    (["fit", "--samples", "short_row.csv"], "ConfigError"),
+    (["fit", "--samples", "empty.csv"], "ConfigError"),
     (["simulate", "--alpha", "-1", "--runs", "10", "--checkpoints", "1,x"],
      "ConfigError"),
     (["simulate", "--checkpoints", "nan,1", "--alpha", "-1", "--runs", "10"],
+     "ConfigError"),
+    (["simulate", "--checkpoints=-1,0.5", "--alpha", "-1", "--runs", "10"],
      "ConfigError"),
     (["identity", "--suite", "s2", "--alpha", "-1", "--runs", "1000",
       "--checkpoints", "1,x"], "ConfigError"),
@@ -277,15 +296,22 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
     (["tail", "--mode", "expansion", "--alpha", "-1", "--t", "-5"],
      "DomainError"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-def test_malformed_options_fail_with_a_json_error(tmp_path, capsys, uniform2,
-                                                  argv, error):
+def test_malformed_options_fail_with_a_json_error(tmp_path, monkeypatch,
+                                                  capsys, uniform2, argv,
+                                                  error):
     if argv[0] == "fit":
-        samples = tmp_path / "samples.csv"
-        samples.write_text("extinction_est\n" + "1.0\n" * 200)
-        shape = tmp_path / "shape.json"
-        shape.write_text(json.dumps(
+        monkeypatch.chdir(tmp_path)
+        good = "run_id,extinction_est\n" + "0,1.0\n" * 200
+        for name, text in (("samples.csv", good),
+                           ("bad_cell.csv", good + "1,x\n"),
+                           ("short_row.csv", good + "1\n"),
+                           ("empty.csv", "")):
+            (tmp_path / name).write_text(text)
+        (tmp_path / "shape.json").write_text(json.dumps(
             {"poly_exponent": 0.0, "exp_terms": [[1.0, 1.0]]}))
-        argv = argv + ["--samples", str(samples), "--shape", str(shape)]
+        if "--samples" not in argv:
+            argv = argv + ["--samples", "samples.csv"]
+        argv = argv + ["--shape", "shape.json"]
     elif argv[0] != "verify":
         argv = argv + ["--measure", uniform2]
     assert main(argv) == (2 if error == "ConfigError" else 1)

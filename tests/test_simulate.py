@@ -28,6 +28,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CascadeConfig(alpha=-1.0, checkpoints=(math.nan, 1.0))
     with pytest.raises(ConfigError):
+        CascadeConfig(alpha=-1.0, checkpoints=(-1.0, 0.5))
+    for t in (-0.5, math.nan):
+        with pytest.raises(ConfigError):
+            CascadeConfig(alpha=-1.0, snapshot_time=t)
+    with pytest.raises(ConfigError):
         CascadeConfig(alpha=-1.0, tags=3)
     # a cap below one event would truncate every run before its first split
     for cap in (0, -5):
