@@ -501,7 +501,7 @@ def log_tail_grid(solver, alpha, ts, t0=None):
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("grid must be a non-empty 1-d sequence")
-    if np.any(np.diff(ts) <= 0.0):
+    if (np.diff(ts) <= 0.0).any():
         raise DomainError("grid must be strictly increasing")
     if t0 is None:
         t0 = default_t0(solver, alpha)

@@ -9,11 +9,16 @@ point by point.
 Determinism contract: a solve for a given x always starts from the same
 deterministic bracket and runs the same safeguarded iteration on scalar phi
 values, so a point gets the bit-identical value whether it is solved alone,
-in any batch, in any order, or by concurrent callers.  Within one solve phi
-is evaluated once per distinct point: the ratios computed while bracketing
+in any batch, in any order, or by concurrent callers.  Scalar phi runs on
+np.float64 scalars (see :mod:`fragtail.laplace`), which give the values a
+0-d array would, bit for bit, at a fraction of the per-operation cost; the
+solve is a chain of such calls.  Within one solve phi is evaluated once
+per distinct point: the excesses y/phi(y) - x computed while bracketing
 are kept in a dict local to the call, so ``brentq`` reuses the values at
 its bracket ends and the residual check the value at the root it returns
-(brentq only ever returns a point it evaluated).  The solver holds
+(brentq only ever returns a point it evaluated).  The upper bracket
+doubles while it stays finite, so every root below the largest float is
+found; a root past it is a :class:`DomainError` of psi.  The solver holds
 nothing beyond its evaluator and the domain edge x_psi: every call solves
 afresh, and callers that need psi' or a decay integral at points they have
 already solved pass the solved values on (:meth:`PsiSolver.psi_prime_at`,
@@ -52,33 +57,35 @@ class PsiSolver:
             raise DomainError(
                 f"psi is defined for x > x_psi = {self.x_psi:.6g}, got {x}")
 
-        seen = {}  # y -> y/phi(y), for this solve only
+        phi = self.evaluator.phi
+        seen = {}  # y -> y/phi(y) - x, for this solve only
 
-        def ratio(y):
-            if y not in seen:
-                seen[y] = y / self.evaluator.phi(y)
-            return seen[y]
+        def excess(y):
+            v = seen.get(y)
+            if v is None:
+                v = seen[y] = y / phi(y) - x
+            return v
 
         # deterministic bracket: double up from max(1, x) until the ratio
-        # exceeds x, halve down until it falls below
+        # y/phi(y) reaches x, halve down until it falls to x or below; the
+        # sign of the excess is the sign of ratio - x, exactly
         hi = max(1.0, x)
-        for _ in range(200):
-            if ratio(hi) >= x:
-                break
+        while not excess(hi) >= 0.0:
+            if 2.0 * hi == math.inf:
+                raise DomainError(
+                    f"psi({x}) exceeds the float range: y/phi(y) < x up to "
+                    f"y = {hi:.6g}")
             hi *= 2.0
-        else:
-            raise NumericalFailure(f"no upper bracket for psi({x})")
         lo = 0.5 * hi
         for _ in range(400):
-            if ratio(lo) <= x:
+            if excess(lo) <= 0.0:
                 break
             lo *= 0.5
         else:
             raise NumericalFailure(f"no lower bracket for psi({x})")
 
-        y = brentq(lambda v: ratio(v) - x, lo, hi,
-                   xtol=1e-300, rtol=_BRENT_RTOL, maxiter=300)
-        residual = abs(ratio(y) - x)
+        y = brentq(excess, lo, hi, xtol=1e-300, rtol=_BRENT_RTOL, maxiter=300)
+        residual = abs(excess(y))
         if residual > _RTOL * x:
             raise NumericalFailure(
                 f"psi({x}) residual {residual:.3e} exceeds {_RTOL:.1e}*x",
@@ -101,7 +108,7 @@ class PsiSolver:
         ys = np.asarray(ys, dtype=float)
         phi_y, dphi_y = self.evaluator.phi_pair(ys)
         denom = phi_y - ys * dphi_y
-        if not np.all(denom > 0.0):
+        if not (denom > 0.0).all():
             raise NumericalFailure(
                 f"psi': nonpositive denominator {np.min(denom):.3e} violates "
                 "strict monotonicity of x/phi(x); evaluator inconsistency")

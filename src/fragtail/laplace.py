@@ -10,11 +10,15 @@ machinery downstream consumes only phi and its derivative.  Where both are
 needed at the same points, :meth:`PhiEvaluator.phi_pair` returns the two
 from the intermediates they share (the gamma-function ratio of the stable
 family, the two Beta moments, the exp table of an atomic measure), equal
-bit for bit to separate phi and phi' calls.  Atomic measures
-are evaluated by exact weighted sums, density measures by endpoint-aware
-tanh-sinh quadrature or by their log-gamma closed forms, and the
-infinite-rate tree families only by closed forms, because their specs hold
-no split density to integrate.
+bit for bit to separate phi and phi' calls.  A scalar call runs on
+np.float64 scalars from end to end, through the scalar branch of
+:func:`_switch`: an np.float64 takes the same IEEE operations through the
+same ufunc loops as a 0-d array, bit for bit, at about a tenth of the
+cost per operation, and every psi solve is a chain of scalar phi calls.
+Atomic measures are evaluated by exact weighted sums, density measures by
+endpoint-aware tanh-sinh quadrature or by their log-gamma closed forms,
+and the infinite-rate tree families only by closed forms, because their
+specs hold no split density to integrate.
 """
 
 from __future__ import annotations
@@ -48,25 +52,30 @@ def _stirling_tail(z):
 
 def _switch(y, c, use_first, first, second):
     """first(y, c) where the mask use_first(y, c) holds and second(y, c)
-    elsewhere, over the broadcast of y and c; a float for two scalars.
+    elsewhere, over the broadcast of y and c.
 
-    A uniform mask, which two scalars always give, runs its one branch on
-    the inputs as they are; only a mixed mask gathers and scatters."""
+    Two scalars (floats, of which np.float64 is one) stay scalars: a plain
+    ``if`` picks the one branch, whose scalar result a nested switch takes
+    as it is.  Wrapping them in 0-d arrays would run the same IEEE
+    operations through the same ufunc loops, bit for bit, at about ten
+    times the cost per operation, and reducing a 0-d mask costs more still.
+    Arrays run one branch on the inputs as they are when the mask is
+    uniform; only a mixed mask gathers and scatters."""
+    if isinstance(y, float) and isinstance(c, float):
+        return first(y, c) if use_first(y, c) else second(y, c)
     y = np.asarray(y, dtype=float)
     c = np.asarray(c, dtype=float)
     mask = use_first(y, c)
-    if mask.all():
-        out = first(y, c)
-    elif not mask.any():
-        out = second(y, c)
-    else:
-        y_b, c_b = np.broadcast_arrays(y, c)
-        rest = ~mask
-        out = np.empty(mask.shape)
-        out[mask] = first(y_b[mask], c_b[mask])
-        out[rest] = second(y_b[rest], c_b[rest])
-    if y.ndim == 0 and c.ndim == 0:
-        return float(out)
+    n_first = np.count_nonzero(mask)
+    if n_first == mask.size:
+        return first(y, c)
+    if n_first == 0:
+        return second(y, c)
+    y_b, c_b = np.broadcast_arrays(y, c)
+    rest = ~mask
+    out = np.empty(mask.shape)
+    out[mask] = first(y_b[mask], c_b[mask])
+    out[rest] = second(y_b[rest], c_b[rest])
     return out
 
 
@@ -138,21 +147,21 @@ def _gamma_ratio(base, c):
 _RGP_H = 3e-5
 
 
+def _near_pole(z, _h):
+    return (z < 0.25) & (np.abs(z - np.round(z)) < 0.05)
+
+
 def _rgamma_psi(z):
-    """digamma(z) / Gamma(z), an entire function, on a 1-d array z.
+    """digamma(z) / Gamma(z), an entire function.
 
     Away from the poles of Gamma the product digamma * rgamma is used; near
     a pole both factors blow up while the product stays finite, so there the
     identity d/dz rgamma(z) = -digamma(z) rgamma(z) is exploited through a
     central difference of the entire function rgamma.
     """
-    near_pole = (z < 0.25) & (np.abs(z - np.round(z)) < 0.05)
-    ok = ~near_pole
-    out = np.empty(z.shape)
-    out[ok] = digamma(z[ok]) * rgamma(z[ok])
-    zp = z[near_pole]
-    out[near_pole] = -(rgamma(zp + _RGP_H) - rgamma(zp - _RGP_H)) / (2 * _RGP_H)
-    return out
+    return _switch(z, _RGP_H, _near_pole,
+                   lambda z, h: -(rgamma(z + h) - rgamma(z - h)) / (2 * h),
+                   lambda z, _h: digamma(z) * rgamma(z))
 
 
 def _gamma_ratio_deriv(base, c):
@@ -172,7 +181,7 @@ def _phi_uniform(k, x):
     # 1 - k! Gamma(x + 2)/Gamma(x + k + 1) = 1 - prod_{j=2..k} 1/(1 + x/j),
     # taken as -expm1(-sum log1p(x/j)) to keep full relative accuracy as
     # x -> 0, where 1 - exp(gamma-function difference) cancels
-    log_prod = np.zeros_like(x)
+    log_prod = 0.0
     for j in range(2, k + 1):
         log_prod = log_prod + np.log1p(x / j)
     return -np.expm1(-log_prod)
@@ -213,18 +222,17 @@ def _phi_beta(a, b, x):
 
 
 def _beta_phi_from_moments(a, b, x, eb, ec):
-    out = np.asarray(1.0 - eb - ec)
-    small = x < _BETA_SERIES_X
-    if small.any():
+    def series(x, _direct):
         # E[B**(x+1)] = a/(a+b) exp(-gap(1+a, 1+a+b)), likewise for 1 - B;
         # both terms of the sum below are positive, so nothing cancels
-        xs = x[small]
         c = a + b + 1.0
-        out[small] = -(a / (a + b) * np.expm1(
-            -np.polyval(_lgamma_gap_coeffs(1.0 + a, c), xs))
+        return -(a / (a + b) * np.expm1(
+            -np.polyval(_lgamma_gap_coeffs(1.0 + a, c), x))
             + b / (a + b) * np.expm1(
-            -np.polyval(_lgamma_gap_coeffs(1.0 + b, c), xs)))
-    return out
+            -np.polyval(_lgamma_gap_coeffs(1.0 + b, c), x)))
+
+    return _switch(x, 1.0 - eb - ec, lambda x, _direct: x < _BETA_SERIES_X,
+                   series, lambda _x, direct: direct)
 
 
 def _pair_beta(a, b, x):
@@ -349,8 +357,14 @@ def _quad_pair(spec, x):
 
 
 def _in_domain(x, name):
+    """x as an np.float64 scalar or a float array, if finite and >= 0."""
     x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x < math.inf)).all():
+    if x.ndim == 0:
+        x = x[()]
+        ok = 0.0 <= x < math.inf
+    else:
+        ok = ((x >= 0.0) & (x < math.inf)).all()
+    if not ok:
         raise DomainError(f"{name} requires finite x >= 0")
     return x
 

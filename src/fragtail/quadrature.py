@@ -24,6 +24,7 @@ of levels past the one where it stopped are evaluated but never read.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -36,14 +37,12 @@ _T_MAX = 6.0  # |t| beyond this contributes < 1e-260 for any exponent > -1
 _FIRST_LEVELS = 5
 
 
-@functools.lru_cache(maxsize=None)
-def _nodes(level):
+def _level_nodes(level):
     """Abscissa parameters t and weights for one refinement level.
 
     Level 0 uses spacing h=1 on all integer multiples; level L >= 1 adds the
     odd multiples of h = 2**-L.  Returns (u, one_minus_u, weight) for the
-    unit interval, weight already including the spacing h.  Each level is
-    built once and shared, so the arrays are read-only.
+    unit interval, weight already including the spacing h.
     """
     h = 0.5 ** level
     if level == 0:
@@ -59,10 +58,24 @@ def _nodes(level):
     um1 = np.where(t >= 0.0, small, big)
     w = math.pi * np.cosh(t) * em / denom ** 2 * h
     keep = (w > 0.0) & (small > 0.0)
-    out = u[keep], um1[keep], w[keep]
-    for arr in out:
+    return u[keep], um1[keep], w[keep]
+
+
+@functools.lru_cache(maxsize=None)
+def _nodes(first, stop):
+    """The nodes of levels first .. stop-1, which one integrand call
+    evaluates: (u, one_minus_u, weight) of every level, concatenated in
+    level order, and per level its weights and its start in them.  Each
+    table is built once and shared, so its arrays are read-only.
+    """
+    tables = [_level_nodes(level) for level in range(first, stop)]
+    joined = tuple(np.concatenate(parts) for parts in zip(*tables))
+    level_w = tuple(w for _, _, w in tables)
+    starts = tuple(itertools.accumulate((len(w) for w in level_w[:-1]),
+                                        initial=0))
+    for arr in joined + level_w:
         arr.flags.writeable = False
-    return out
+    return joined + (level_w, starts)
 
 
 def tanh_sinh(f, a, b, rel_tol=1e-10, max_nodes=2 ** 14):
@@ -83,43 +96,44 @@ def tanh_sinh(f, a, b, rel_tol=1e-10, max_nodes=2 ** 14):
     if a_arr.shape != b_arr.shape:
         raise ValueError(f"endpoint shapes differ: {a_arr.shape} and "
                          f"{b_arr.shape}")
-    los = a_arr.ravel().tolist()
-    widths = []
-    for left, right in zip(los, b_arr.ravel().tolist()):
-        if not right > left:
-            raise NumericalFailure(
-                f"empty or inverted interval ({left}, {right})")
-        widths.append(right - left)
-    n = len(los)
+    los = a_arr.ravel()
+    his = b_arr.ravel()
+    inverted = np.flatnonzero(~(his > los))
+    if inverted.size:
+        i = inverted[0]
+        raise NumericalFailure(
+            f"empty or inverted interval ({los[i]}, {his[i]})")
+    widths = his - los
+    width_list = widths.tolist()
+    n = los.size
     value = [0.0] * n
     err = [math.inf] * n
     prev = [0.0] * n
     used = [0] * n  # nodes per interval, for the cap
     n_nodes = 0
     todo = list(range(n))
-    levels = range(_FIRST_LEVELS)
+    first, stop = 0, _FIRST_LEVELS
     while todo:
-        tables = [_nodes(level) for level in levels]
-        u, um1, w = (np.concatenate(parts) for parts in zip(*tables))
-        lo = np.array([los[i] for i in todo])[:, None]
-        width = np.array([widths[i] for i in todo])[:, None]
-        vals = np.asarray(f((lo + width * u).ravel(), (width * u).ravel(),
+        u, um1, w, level_w, starts = _nodes(first, stop)
+        rows = slice(None) if len(todo) == n else todo  # a view if all open
+        lo = los[rows, None]
+        width = widths[rows, None]
+        wu = width * u
+        vals = np.asarray(f((lo + wu).ravel(), wu.ravel(),
                             (width * um1).ravel()), dtype=float)
         vals = vals.reshape(len(todo), -1)
         n_nodes += vals.size
-        ends = np.cumsum([len(t[2]) for t in tables]).tolist()
-        finite = np.logical_and.reduceat(np.isfinite(vals * w),
-                                         [0] + ends[:-1], axis=1).tolist()
+        finite = np.logical_and.reduceat(np.isfinite(vals * w), starts,
+                                         axis=1).tolist()
         still_open = []
         for i, row, row_finite in zip(todo, vals, finite):
-            start = 0
-            for level, (_, _, wl), end, ok in zip(levels, tables, ends,
-                                                  row_finite):
+            for level, wl, start, ok in zip(range(first, stop), level_w,
+                                            starts, row_finite):
                 if not ok:
                     raise NumericalFailure(
                         "integrand not finite at quadrature nodes")
-                part = widths[i] * float(np.dot(wl, row[start:end]))
-                start = end
+                part = width_list[i] * float(
+                    np.dot(wl, row[start:start + len(wl)]))
                 # halving h rescales the previous grid's contribution by
                 # 1/2; the new odd-multiple nodes already carry the new
                 # spacing in w
@@ -139,7 +153,7 @@ def tanh_sinh(f, a, b, rel_tol=1e-10, max_nodes=2 ** 14):
             else:
                 still_open.append(i)
         todo = still_open
-        levels = [levels[-1] + 1]
+        first, stop = stop, stop + 1
     if a_arr.ndim == 0:
         return value[0], err[0], n_nodes
     return (np.array(value).reshape(a_arr.shape),

@@ -17,7 +17,7 @@ Two engines implement the same law:
   children above the cutoff, which are a prefix of each parent's parts,
   from the flat indices of the keep mask; their quotient by the split
   width is the parent row, and a search in it gives each run's next count
-  and each tag's new row.  Each row carries the index of the first
+  and each tag's new row.  Each row carries the time of the first
   checkpoint at or after its birth, so only the rows that straddle a
   checkpoint are searched and binned; and the beta split sampler
   evaluates its PCHIP inverse CDF in place through a bucket index over q,
@@ -217,9 +217,10 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     rows before any row.  Searched at the segment ends it gives the next
     level's segment bounds, and so each run's next count; searched at a
     tag's row, plus the tag's part, the tag's new row.  Each row carries
-    ``jlo``, the number of checkpoints before its birth: a child's is its
-    parent's count before death, so the checkpoint search, key build and
-    bincounts run only on the rows whose lifetime straddles a checkpoint.
+    ``next_cp``, the time of the first checkpoint at or after its birth
+    (inf past the last): a child's is its parent's first checkpoint at or
+    after death, so the checkpoint search, key build and bincounts run
+    only on the rows whose lifetime straddles a checkpoint.
     Beta splits draw s1 from the bucketed PCHIP inverse CDF of
     ``measures.split_icdf``.  Tagged lineages are tracked as one frontier
     row index per run, so tag bookkeeping costs O(n_runs) per level
@@ -267,9 +268,9 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     birth = np.zeros(n_runs)
     track_cps = ncp and (S1 is not None or F1 is not None)
     if track_cps:
-        # cps_inf[jlo] is the first checkpoint at or after a row's birth
+        # every checkpoint is at or after time 0, where the roots are born
         cps_inf = np.append(cps, np.inf)
-        jlo = np.full(n_runs, np.searchsorted(cps, 0.0, side="left"))
+        next_cp = np.full(n_runs, cps[0])
     # tag_row[k][r]: frontier row carrying tag k of run r, -1 once dead
     tag_row = np.tile(np.arange(n_runs, dtype=np.int64), (ntags, 1))
     peak_rows = 0
@@ -288,7 +289,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
             tag_row[carried] = np.where(keep_rows[rows], new_idx[rows], -1)
             mass, birth = mass[keep_rows], birth[keep_rows]
             if track_cps:
-                jlo = jlo[keep_rows]
+                next_cp = next_cp[keep_rows]
             seg_run, seg_cnt = seg_run[~over], seg_cnt[~over]
             if seg_run.size == 0:
                 break
@@ -308,15 +309,17 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         seg_max = np.maximum.reduceat(death, seg_end - seg_cnt)
         zeta[seg_run] = np.maximum(zeta[seg_run], seg_max)
 
-        # row i is alive at checkpoints jlo[i] <= j < jhi[i]; one flattened
+        # row i is alive at checkpoints lo <= j < hi, the counts of
+        # checkpoints before its birth and before its death; one flattened
         # bincount over (run, checkpoint) keys of the straddling rows, in
-        # frontier order, covers them all.  jlo becomes jhi, the children's
+        # frontier order, covers them all.  The children's next checkpoint
+        # is the first at or after this death
         if track_cps:
-            cross = np.flatnonzero(cps_inf[jlo] < death)
+            cross = np.flatnonzero(next_cp < death)
             if cross.size:
-                lo = jlo[cross]
+                lo = np.searchsorted(cps, birth[cross], side="left")
                 hi = np.searchsorted(cps, death[cross], side="left")
-                jlo[cross] = hi
+                next_cp[cross] = cps_inf[hi]
                 counts = hi - lo
                 starts = np.cumsum(counts) - counts
                 first_key = (_row_runs(seg_run, seg_end, cross) * ncp
@@ -410,7 +413,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         mass = children
         birth = death[parent]
         if track_cps:
-            jlo = jlo[parent]
+            next_cp = next_cp[parent]
         del children, parent, death
         level += 1
 

@@ -227,10 +227,19 @@ def test_identity_with_zero_difference_on_every_run(capsys, uniform2, suite):
         == [(0.0, 0.0, 0.0)] * 2
 
 
-def test_exit_codes(capsys, uniform2, stable2):
+def test_exit_codes(capsys, tmp_path, uniform2, stable2):
     assert main(["psi", "--measure", uniform2, "--x", "1.0"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
+    # psi's root past the largest float is psi's domain error, not phi's
+    stable15 = tmp_path / "stable15.json"
+    stable15.write_text(json.dumps({"family": "stable",
+                                    "params": {"gamma": 1.5}}))
+    with np.errstate(over="ignore"):
+        assert main(["psi", "--measure", str(stable15), "--x", "1e300"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith("psi(1e+300)")
     assert main(["simulate", "--measure", stable2, "--alpha", "-1",
                  "--runs", "5"]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -95,6 +95,19 @@ def test_domain_guard():
     s.psi(2.0 * (1.0 + 1e-5))  # just outside the guard band works
 
 
+def test_psi_brackets_up_to_the_float_range():
+    # stable(1.5) has psi(x) ~ x**1.5: the roots of 1e150 and 1e200 lie
+    # near 1.8e225 and 1.8e300, found after 251 and 334 doublings; the root
+    # of 1e300 is past the largest float, a domain error that names psi
+    s = solver_for(M.make_stable(1.5))
+    with np.errstate(over="ignore"):
+        for x in (1e150, 1e200):
+            y = s.psi(x)
+            assert abs(y / s.evaluator.phi(y) - x) <= 1e-10 * x
+        with pytest.raises(DomainError, match=r"psi\(1e\+300\)"):
+            s.psi(1e300)
+
+
 def test_growth_exponents():
     assert abs(solver_for(M.make_identical(2)).growth_exponent(1e4) - 1.0) \
         < 0.05

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
+from fragtail import laplace
 from fragtail import measures as M
 from fragtail.errors import DomainError
 from fragtail.laplace import PhiEvaluator, digamma_diff, gammaln_diff
@@ -58,6 +59,64 @@ def test_phi_pair_is_phi_and_phi_prime(spec):
     if spec is not FOUR_PART_ATOMIC:
         assert [p for p, _ in singles] == phi.tolist()
         assert [float(p[0]) for p, _ in slices] == phi.tolist()
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES)
+def test_scalar_calls_stay_scalar(spec, monkeypatch):
+    # a scalar phi or phi_pair runs every branch of every gamma-function
+    # switch on scalars, never on 0-d arrays, and returns Python floats
+    real = laplace._switch
+
+    def scalar_only(branch):
+        def run(y, c):
+            assert not isinstance(y, np.ndarray)
+            assert not isinstance(c, np.ndarray)
+            return branch(y, c)
+        return run
+
+    def checked(y, c, use_first, first, second):
+        return real(y, c, use_first, scalar_only(first), scalar_only(second))
+
+    monkeypatch.setattr(laplace, "_switch", checked)
+    ev = PhiEvaluator(spec)
+    for x in [0.0, 0.1, 0.5] + np.geomspace(1e-3, 1e4, 25).tolist():
+        phi, dphi = ev.phi_pair(x)
+        assert type(phi) is float and type(dphi) is float
+        assert type(ev.phi(x)) is float
+
+
+def _ulps(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+def test_scalar_and_batched_agree_at_branch_edges():
+    # the Stirling switch at y + c = 50 and the safely-positive switch at
+    # base = 0.5, one ulp either side: a scalar call gives the batched
+    # value bit for bit, where the batch mixes both branches
+    def same(fn, ys, c):
+        batch = fn(np.array(ys), c).tolist()
+        assert [float(fn(y, c)) for y in ys] == batch
+        assert [float(fn(np.array([y]), c)[0]) for y in ys] == batch
+
+    for c in (0.5, -1.0 / 1.5, 1.0):
+        z = _ulps(50.0)
+        ys = [v - c for v in z] + _ulps(50.0) + [49.0, 51.0]
+        assert [y + c for y in ys[:3]] == z
+        same(gammaln_diff, ys, c)
+        same(digamma_diff, ys, c)
+    for c in (0.5, -0.5, 0.3):
+        bases = _ulps(0.5) + [v - c for v in _ulps(0.5)] + [0.2, 3.0]
+        same(laplace._gamma_ratio, bases, c)
+        same(laplace._gamma_ratio_deriv, bases, c)
+    # digamma/Gamma on both sides of its near-pole switch
+    zs = [-2.02, -1.0, -0.04, 0.0, 0.01, 0.2, 0.3, 0.5, 2.0]
+    same(lambda z, _c: laplace._rgamma_psi(z), zs, None)
+    # ford(0.5) reaches base = 0.5 at x = 0.5
+    ev = PhiEvaluator(M.make_ford(0.5))
+    xs = _ulps(0.5)
+    phi, dphi = ev.phi_pair(np.array(xs))
+    assert [ev.phi_pair(x) for x in xs] == list(zip(phi.tolist(),
+                                                   dphi.tolist()))
 
 
 def test_uniform_two_closed_form():

@@ -68,7 +68,7 @@ def _level_by_level(f, a, b, rel_tol=1e-10):
     prev = None
     level = 0
     while True:
-        u, um1, w = _nodes(level)
+        u, um1, w = _nodes(level, level + 1)[:3]
         vals = np.asarray(f(a + width * u, width * u, width * um1),
                           dtype=float)
         assert np.all(np.isfinite(vals * w))
@@ -112,7 +112,7 @@ def test_nonfinite_past_convergence_is_never_seen():
     # nan at the nodes of the first call's last level: an interval that
     # stops before that level returns its value, one that reaches it fails
     # (near 1, nodes of several levels round to the same u)
-    deep = _nodes(_FIRST_LEVELS - 1)[0]
+    deep = _nodes(_FIRST_LEVELS - 1, _FIRST_LEVELS)[0]
     deep = deep[deep < 0.5]
 
     def poisoned(x, xma, bmx):
@@ -124,7 +124,7 @@ def test_nonfinite_past_convergence_is_never_seen():
     assert tanh_sinh(poisoned, 0.0, 1.0)[:2] == (value, err)
 
     def poisoned_early(x, xma, bmx):
-        early = _nodes(1)[0]
+        early = _nodes(1, 2)[0]
         return np.where(np.isin(x, early[early < 0.5]), np.nan, 1.0 + x * x)
 
     with pytest.raises(NumericalFailure):
@@ -133,10 +133,13 @@ def test_nonfinite_past_convergence_is_never_seen():
 
 def test_node_tables_built_once_and_read_only():
     from fragtail.quadrature import _nodes
-    for level in (0, 3):
-        tables = _nodes(level)
-        assert _nodes(level) is tables
-        for arr in tables:
+    for first, stop in ((0, _FIRST_LEVELS), (3, 4)):
+        tables = _nodes(first, stop)
+        assert _nodes(first, stop) is tables
+        u, um1, w, level_w, starts = tables
+        assert sum(len(wl) for wl in level_w) == len(w)
+        assert starts[-1] + len(level_w[-1]) == len(w)
+        for arr in (u, um1, w) + level_w:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
