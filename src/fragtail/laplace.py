@@ -144,10 +144,7 @@ def _gamma_ratio(base, c):
                    lambda b, c: gamma_fn(b + c) * rgamma(b))
 
 
-_RGP_H = 3e-5
-
-
-def _near_pole(z, _h):
+def _near_pole(z, _c):
     return (z < 0.25) & (np.abs(z - np.round(z)) < 0.05)
 
 
@@ -155,13 +152,17 @@ def _rgamma_psi(z):
     """digamma(z) / Gamma(z), an entire function.
 
     Away from the poles of Gamma the product digamma * rgamma is used; near
-    a pole both factors blow up while the product stays finite, so there the
-    identity d/dz rgamma(z) = -digamma(z) rgamma(z) is exploited through a
-    central difference of the entire function rgamma.
+    a pole both factors blow up while the product stays finite, so there it
+    is taken from the reflection formula
+    Gamma(1 - z) (digamma(1 - z) sin(pi z)/pi - cos(pi z)).  The switch
+    stays close to the poles: further out the reflected form cancels near
+    the negative zeros of digamma, where the product keeps full accuracy.
     """
-    return _switch(z, _RGP_H, _near_pole,
-                   lambda z, h: -(rgamma(z + h) - rgamma(z - h)) / (2 * h),
-                   lambda z, _h: digamma(z) * rgamma(z))
+    return _switch(
+        z, 0.0, _near_pole,
+        lambda z, _c: gamma_fn(1.0 - z) * (
+            digamma(1.0 - z) * np.sin(np.pi * z) / np.pi - np.cos(np.pi * z)),
+        lambda z, _c: digamma(z) * rgamma(z))
 
 
 def _gamma_ratio_deriv(base, c):
@@ -306,8 +307,6 @@ _CLOSED_FORMS = {
 # family -> constants of its phi that depend on the parameters alone; they
 # follow the parameters in the arguments of phi and of the pair
 _AT_ZERO = {"ford": _ford_at_zero, "beta-splitting": _beta_splitting_at_zero}
-# families whose phi' meets a Gamma pole at 0 for some parameters
-_POLE_AT_ZERO = ("ford", "beta-splitting")
 
 
 def _atomic_table(log_parts, x):
@@ -464,25 +463,14 @@ class PhiEvaluator:
     def x_psi(self):
         """Left edge of the domain of the inverse function psi.
 
-        Equals lim_{x->0+} x/phi(x): the reciprocal of phi'(0+) for
-        conservative measures (phi(0) = 0), and 0 when phi(0) > 0.  Where
-        phi' is finite at 0, one :meth:`phi_pair` call at 0 gives both;
-        the quadrature method and the families whose phi' may meet a Gamma
-        pole at 0 take the Richardson limit of x/phi(x) instead.
+        Equals lim_{x->0+} x/phi(x): the reciprocal of phi'(0) for
+        conservative measures (phi(0) = 0), and 0 when phi(0) > 0.  phi'(0)
+        is finite for every measure accepted here, so one :meth:`phi_pair`
+        call at 0 gives both, for every family and method.
         """
-        if (self.method != "quadrature"
-                and self.spec.family not in _POLE_AT_ZERO):
-            phi0, dphi0 = self.phi_pair(0.0)
-            # phi(0) for conservative specs is exactly 0
-            return 0.0 if phi0 > 1e-12 else 1.0 / dphi0
-        phi0 = self.phi(1e-12)
-        if self.phi(0.0) > 1e-12 * max(1.0, phi0):
-            return 0.0
-        # Richardson limit of x/phi(x); error O(h^2)
-        h = 1e-6
-        r1 = h / self.phi(h)
-        r2 = 2.0 * h / self.phi(2.0 * h)
-        return 2.0 * r1 - r2
+        phi0, dphi0 = self.phi_pair(0.0)
+        # phi(0) for conservative specs is exactly 0
+        return 0.0 if phi0 > 1e-12 else 1.0 / dphi0
 
     def check_hypothesis(self, x_max=1e4, n_grid=200, delta=0.01):
         """Growth-ratio diagnostic over a log grid on [1, x_max].

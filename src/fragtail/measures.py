@@ -104,13 +104,16 @@ def intrinsic_alpha(spec):
 def _validated_atoms(raw_atoms):
     atoms = []
     for weight, parts in raw_atoms:
+        if isinstance(parts, str):
+            raise ConfigError(f"atom parts must be a list, got {parts!r}")
         weight = float(weight)
         parts = tuple(float(p) for p in parts if p != 0.0)
-        if weight <= 0.0:
-            raise ConfigError(f"atom weight must be positive, got {weight}")
+        if not 0.0 < weight < math.inf:
+            raise ConfigError(
+                f"atom weight must be positive and finite, got {weight}")
         if not parts:
             raise ConfigError("atom must have at least one positive part")
-        if any(p <= 0.0 or p > 1.0 for p in parts):
+        if not all(0.0 < p <= 1.0 for p in parts):
             raise ConfigError(f"atom parts must lie in (0, 1]: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ConfigError(f"atom parts must be nonincreasing: {parts}")
@@ -131,11 +134,23 @@ def make_atomic(atoms, scale=1.0):
         atoms=_validated_atoms(atoms))
 
 
+# the most pieces of identical-k and uniform-k: an identical-k atom holds k
+# parts and uniform-k's phi is a product of k - 1 factors, so a larger k
+# only exhausts memory or time
+_MAX_K = 10_000
+
+
+def _piece_count(k, family):
+    k = float(k)
+    if not (k.is_integer() and 2.0 <= k <= _MAX_K):
+        raise ConfigError(
+            f"{family} requires an integer k in [2, {_MAX_K}], got {k}")
+    return int(k)
+
+
 def make_identical(k, scale=1.0):
     """Split into k equal pieces of mass 1/k."""
-    k = int(k)
-    if k < 2:
-        raise ConfigError("identical-k requires k >= 2")
+    k = _piece_count(k, "identical-k")
     return DislocationSpec(
         family="identical-k", variant=ATOMIC, scale=scale,
         params=(("k", k),), atoms=((1.0, (1.0 / k,) * k),))
@@ -148,9 +163,7 @@ def make_uniform(k, scale=1.0):
     analytic-only (closed-form Laplace exponent, no sampler), since general
     simplex densities are out of scope here.
     """
-    k = int(k)
-    if k < 2:
-        raise ConfigError("uniform-k requires k >= 2")
+    k = _piece_count(k, "uniform-k")
     variant = BINARY_DENSITY if k == 2 else ANALYTIC
     return DislocationSpec(
         family="uniform-k", variant=variant, scale=scale, params=(("k", k),))
@@ -159,8 +172,8 @@ def make_uniform(k, scale=1.0):
 def make_beta(a, b, scale=1.0):
     """Binary split (B, 1-B) with B drawn from a Beta(a, b) density."""
     a, b = float(a), float(b)
-    if a <= 0.0 or b <= 0.0:
-        raise ConfigError("beta family requires a > 0 and b > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ConfigError("beta family requires finite a > 0 and b > 0")
     return DislocationSpec(
         family="beta", variant=BINARY_DENSITY, scale=scale,
         params=(("a", a), ("b", b)))
@@ -210,15 +223,16 @@ def from_config(config):
     if not isinstance(config, dict):
         raise ConfigError("measure config must be a JSON object")
     family = config.get("family")
-    if family not in _BUILDERS:
+    if not isinstance(family, str) or family not in _BUILDERS:
         raise ConfigError(
             f"unknown family {family!r}; expected one of {sorted(_BUILDERS)}")
-    params = config.get("params", {})
-    scale = float(config.get("scale", 1.0))
     try:
-        return _BUILDERS[family](params, scale)
+        scale = float(config.get("scale", 1.0))
+        return _BUILDERS[family](config.get("params", {}), scale)
     except KeyError as exc:
         raise ConfigError(f"family {family!r} missing parameter {exc}") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad {family!r} measure config: {exc}") from exc
 
 
 def load_measure(path):

@@ -180,7 +180,6 @@ class EnsembleResult:
     tag_death: np.ndarray = None     # (tags, n)
     tag_killed: np.ndarray = None
     separation_time: np.ndarray = None
-    shared_splits: np.ndarray = None
     snapshot_run: np.ndarray = None  # run ids of fragments alive at snapshot_time
     snapshot_mass: np.ndarray = None
     peak_rows: np.ndarray = None     # (chunks,) widest frontier of each
@@ -258,7 +257,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     tag_death = np.full((ntags, n_runs), np.inf)
     tag_killed = np.zeros((ntags, n_runs), dtype=bool)
     t_sep = np.full(n_runs, np.inf)
-    shared = np.zeros(n_runs, dtype=np.int64)
     snap_runs, snap_masses = [], []
 
     # run seg_run[i] owns the seg_cnt[i] rows that end before seg_end[i]
@@ -374,7 +372,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         if ntags == 2:
             both_runs = np.flatnonzero(
                 (tag_row[0] >= 0) & (tag_row[0] == tag_row[1]))
-            shared[both_runs] += 1
             both_parent = tag_row[0, both_runs]
         for k in range(ntags):
             runs_t = np.flatnonzero(tag_row[k] >= 0)
@@ -428,7 +425,6 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
         "tag_death": tag_death if ntags else None,
         "tag_killed": tag_killed if ntags else None,
         "separation_time": t_sep if ntags == 2 else None,
-        "shared_splits": shared if ntags == 2 else None,
         "snapshot_run": (np.concatenate(snap_runs) if snap_runs
                          else np.empty(0, dtype=np.int64)),
         "snapshot_mass": (np.concatenate(snap_masses) if snap_masses

@@ -396,14 +396,21 @@ def test_tail_pair_shares_one_integration(monkeypatch):
     assert len(phi_calls) == 24
 
 
-@pytest.mark.parametrize("spec", [
-    M.make_uniform(2), M.make_beta(2.0, 3.0), M.make_stable(1.5),
-    M.make_identical(2)], ids=["uniform-2", "beta-2-3", "stable-1.5",
-                               "identical-2"])
-def test_x_psi_is_one_phi_pair(monkeypatch, spec):
-    # phi(0) and phi'(0) from one pair call where phi' is finite at 0
+@pytest.mark.parametrize("spec,method", [
+    (M.make_uniform(2), "auto"), (M.make_beta(2.0, 3.0), "auto"),
+    (M.make_stable(1.5), "auto"), (M.make_identical(2), "auto"),
+    (M.make_ford(0.3), "auto"), (M.make_ford(0.5), "auto"),
+    (M.make_beta_splitting(-1.5), "auto"),
+    (M.make_beta_splitting(-1.6), "auto"),
+    (M.make_beta(2.0, 3.0), "quadrature")],
+    ids=["uniform-2", "beta-2-3", "stable-1.5", "identical-2", "ford-0.3",
+         "ford-0.5", "beta-splitting--1.5", "beta-splitting--1.6",
+         "beta-2-3-quadrature"])
+def test_x_psi_is_one_phi_pair(monkeypatch, spec, method):
+    # phi'(0) is finite for every measure, so phi(0) and phi'(0) come from
+    # one pair call for every family and method
     calls = _counting_phi(monkeypatch)
-    PhiEvaluator(spec).x_psi()
+    PhiEvaluator(spec, method=method).x_psi()
     assert calls == ["phi_pair"]
 
 
@@ -551,21 +558,21 @@ _GOLDEN_EXACT_ROUTE = {
     },
     "ford-0.5": {
         "phi": "65220f3afb35fa8e",
-        "phi_prime": "b4ce095ab0cb21ab",
-        "scalar": "0c7675bc50b6043c",
-        "psi": "957f03c01a06e03a",
-        "psi_prime": "20e3542ec4112bcd",
-        "tails": "cda1ac31aa25daac",
-        "grid": "690557e50d9b3602",
+        "phi_prime": "dbe5c1c97a38637a",
+        "scalar": "4b224f8e3e3b29bd",
+        "psi": "9f1ba206b412bd71",
+        "psi_prime": "8de95fedf8814352",
+        "tails": "62c516b706f0c786",
+        "grid": "b3b34cb89d6da8b1",
     },
     "beta-splitting--1.6": {
         "phi": "6af1f966ace7e72e",
-        "phi_prime": "9e5ae26a2109d3f8",
+        "phi_prime": "4ed5b154fe321ccc",
         "scalar": "20a494c876905d0f",
-        "psi": "8add4fa5392bb3e8",
-        "psi_prime": "a48abfdb510e0694",
-        "tails": "94339a0195bdb3b2",
-        "grid": "3e432349c81c6a5a",
+        "psi": "623ca272fea172af",
+        "psi_prime": "eb1fe0552b285209",
+        "tails": "a0609a67fed72742",
+        "grid": "8ec7e1a42d34f07d",
     },
     "uniform-2": {
         "phi": "7c9f9b0a2eeece97",
@@ -625,10 +632,10 @@ _GOLDEN_EXACT_ROUTE = {
         "phi": "cb2c49e06ae0c8ff",
         "phi_prime": "16c77b8994533485",
         "scalar": "437d4bfccfc15246",
-        "psi": "2f28004cd21be896",
-        "psi_prime": "d064e59d5c6e2535",
-        "tails": "9ab9264371d5ca3c",
-        "grid": "44e25abeb32b9ada",
+        "psi": "99237b1c65156195",
+        "psi_prime": "36989215145cf508",
+        "tails": "0f08bea41ad2ab73",
+        "grid": "e34f7a50906b7cd5",
     },
 }
 

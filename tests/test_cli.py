@@ -292,6 +292,9 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
     (["verify", "--only", "8", "--workers", "0"], "ConfigError"),
     (["simulate", "--alpha", "-1", "--runs", "10", "--max-events", "0"],
      "ConfigError"),
+    (["phi", "--x", "1", "--measure", "nan_weight.json"], "ConfigError"),
+    (["simulate", "--alpha", "-1", "--runs", "3", "--cutoff", "0.01",
+      "--measure", "text_scale.json"], "ConfigError"),
     (["phi", "--x", "nan"], "DomainError"),
     (["phi", "--x", "inf"], "DomainError"),
     (["hcheck", "--xmax", "nan"], "DomainError"),
@@ -321,6 +324,13 @@ def test_malformed_options_fail_with_a_json_error(tmp_path, monkeypatch,
         if "--samples" not in argv:
             argv = argv + ["--samples", "samples.csv"]
         argv = argv + ["--shape", "shape.json"]
+    elif "--measure" in argv:
+        monkeypatch.chdir(tmp_path)
+        atom = {"weight": math.nan, "parts": [0.5, 0.5]}
+        (tmp_path / "nan_weight.json").write_text(json.dumps(
+            {"family": "atomic", "params": {"atoms": [atom]}}))
+        (tmp_path / "text_scale.json").write_text(json.dumps(
+            {"family": "uniform-k", "params": {"k": 2}, "scale": "abc"}))
     elif argv[0] != "verify":
         argv = argv + ["--measure", uniform2]
     assert main(argv) == (2 if error == "ConfigError" else 1)

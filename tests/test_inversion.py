@@ -77,6 +77,31 @@ def test_psi_prime_against_finite_differences(spec):
         assert abs(s.psi_prime(float(x)) - fd) / fd < 1e-5
 
 
+def test_psi_prime_near_the_domain_edge_against_mpmath():
+    # psi'(y) = phi(y)**2/(phi(y) - y phi'(y)) cancels as y -> 0, so an
+    # error in phi'(y) of ford(0.5), whose gamma ratio has its base at the
+    # pole 0 there, is amplified about 1/y times
+    mp = pytest.importorskip("mpmath")
+    s = solver_for(M.make_ford(0.5))
+    ys = np.geomspace(1e-6, 1e-2, 5)
+    got = s.psi_prime_at(ys)
+    with mp.workdps(40):
+        a = mp.mpf(0.5)
+
+        def g(x):
+            return (mp.gamma(x + 1 - a) * mp.rgamma(x + 1 - 2 * a)
+                    - (2 - 4 * a) * mp.gamma(x + 2 - a)
+                    * mp.rgamma(x + 3 - 2 * a))
+
+        def phi(x):
+            return g(x) - g(0)
+
+        for y, v in zip(ys.tolist(), got.tolist()):
+            p = phi(mp.mpf(y))
+            ref = p ** 2 / (p - y * mp.diff(phi, y))
+            assert abs((v - ref) / ref) <= 1e-10, y
+
+
 @pytest.mark.parametrize("spec", FAMILIES)
 def test_psi_prime_growth_ratio_bounded(spec):
     # psi'(x) <= K psi(x)/x for one constant over the tail grid

@@ -229,6 +229,51 @@ def test_x_psi_values():
     g = 2.0
     assert abs(PhiEvaluator(M.make_stable(g)).x_psi()
                - 1.0 / (g * math.gamma(1.0 - 1.0 / g))) < 1e-12
+    # phi'(0) = Gamma(1/2) where the gamma ratio's base sits on the pole at 0
+    for spec in (M.make_ford(0.5), M.make_beta_splitting(-1.5)):
+        assert PhiEvaluator(spec).x_psi() == 1.0 / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("spec", [M.make_ford(a)
+                                  for a in (0.1, 0.25, 0.3, 0.5, 0.7, 0.9)]
+                         + [M.make_beta_splitting(b) for b in
+                            (-1.1, -1.2, -1.5, -1.6, -1.9, -1.95)],
+                         ids=lambda spec: f"{spec.family}-{spec.params[0][1]}")
+def test_tree_family_x_psi_against_mpmath(spec):
+    # x_psi = 1/phi'(0) of the alpha-model and of beta-splitting, whose
+    # gamma ratios meet a pole of Gamma at 0 for a = 1/2 and beta = -3/2
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        if spec.family == "ford":
+            a = mp.mpf(spec.param("a"))
+
+            def g(x):
+                return (mp.gamma(x + 1 - a) * mp.rgamma(x + 1 - 2 * a)
+                        - (2 - 4 * a) * mp.gamma(x + 2 - a)
+                        * mp.rgamma(x + 3 - 2 * a))
+        else:
+            b = mp.mpf(spec.param("beta"))
+
+            def g(x):
+                return mp.gamma(x + b + 2) * mp.rgamma(x + 2 * b + 3)
+        ref = 1 / mp.diff(g, 0)
+        got = PhiEvaluator(spec).x_psi()
+        assert abs((got - ref) / ref) <= 2e-15
+
+
+def test_rgamma_psi_against_mpmath_near_the_poles():
+    # digamma/Gamma on both sides of the poles 0 and -1, inside the band
+    # where the product of the two factors is replaced by reflection
+    mp = pytest.importorskip("mpmath")
+    zs = np.concatenate([np.linspace(-0.049, 0.049, 43),
+                         np.linspace(-1.049, -0.951, 43), [0.0, -1.0]])
+    got = laplace._rgamma_psi(zs)
+    with mp.workdps(40):
+        for z, v in zip(zs.tolist(), got.tolist()):
+            # the limits at the poles: -1 at 0, 1 at -1
+            ref = (-mp.mpf(1) if z == 0.0 else mp.mpf(1) if z == -1.0
+                   else mp.digamma(z) / mp.gamma(z))
+            assert abs((v - ref) / ref) <= 1e-14, z
 
 
 def test_hypothesis_check():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import beta as beta_dist
@@ -172,6 +173,74 @@ def test_from_config_and_errors():
         from_config({"family": "stable", "params": {"gamma": 3.0}})
     with pytest.raises(ConfigError):
         from_config({"family": "beta-splitting", "params": {"beta": -0.5}})
+    # malformed values: each a ConfigError, never a bare ValueError or
+    # TypeError, nor a measure silently built from a rounded or NaN value
+    two = {"weight": 1.0, "parts": [0.5, 0.5]}
+    for config in (
+            {"family": "uniform-k", "params": {"k": 2}, "scale": "abc"},
+            {"family": "uniform-k", "params": {"k": 2}, "scale": None},
+            {"family": "beta", "params": {"a": "x", "b": 3}},
+            {"family": "identical-k", "params": {"k": "two"}},
+            {"family": "identical-k", "params": {"k": 2.7}},
+            {"family": "uniform-k", "params": {"k": 2.7}},
+            {"family": "identical-k", "params": {"k": 10 ** 9}},
+            {"family": "atomic", "params": {"atoms": [
+                {"weight": 1.0, "parts": "0.5"}]}},
+            {"family": "atomic", "params": {"atoms": [
+                {**two, "weight": math.nan}]}},
+            {"family": "atomic", "params": {"atoms": [
+                {**two, "weight": math.inf}]}},
+            {"family": "atomic", "params": {"atoms": [
+                {"weight": 1.0, "parts": [math.nan, 0.5]}]}},
+            {"family": "beta", "params": {"a": math.nan, "b": 3}},
+            {"family": "beta", "params": {"a": math.inf, "b": 3}}):
+        with pytest.raises(ConfigError):
+            from_config(config)
+    assert from_config({"family": "identical-k",
+                        "params": {"k": 3.0}}).param("k") == 3
+
+
+_FAMILIES = ["atomic", "identical-k", "uniform-k", "beta", "stable", "ford",
+             "beta-splitting"]
+
+
+def _mostly(good, bad):
+    # good three draws in four, so that valid specs are common among the
+    # malformed ones
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 0 else good)
+
+
+# JSON-like values: floats with NaN and infinities, ints of any size,
+# strings, null and lists
+_VALUES = _mostly(st.floats(-2.0, 2.0) | st.integers(0, 4),
+                  st.floats() | st.integers() | st.text(max_size=4)
+                  | st.none() | st.lists(st.floats(), max_size=3))
+_ATOM = _mostly(st.fixed_dictionaries({
+    "weight": _VALUES,
+    "parts": _mostly(st.lists(_mostly(st.floats(0.0, 0.6), _VALUES),
+                              min_size=1, max_size=4), _VALUES)}), _VALUES)
+_PARAMS = _mostly(st.fixed_dictionaries({}, optional={
+    "k": _VALUES, "a": _VALUES, "b": _VALUES, "gamma": _VALUES,
+    "beta": _VALUES, "atoms": _mostly(st.lists(_ATOM, max_size=3), _VALUES)}),
+    _VALUES)
+_CONFIGS = st.fixed_dictionaries(
+    {"family": st.sampled_from(_FAMILIES + ["nope", "", None, 2.0, []])},
+    optional={"params": _PARAMS,
+              "scale": _mostly(st.floats(0.5, 2.0), _VALUES)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_CONFIGS)
+def test_from_config_builds_a_finite_spec_or_raises_config_error(config):
+    try:
+        spec = from_config(config)
+    except ConfigError:
+        return
+    assert isinstance(spec, M.DislocationSpec)
+    values = [spec.scale] + [value for _, value in spec.params]
+    for weight, parts in spec.atoms or ():
+        values += [weight, *parts]
+    assert all(math.isfinite(v) for v in values)
 
 
 def test_intrinsic_alpha():

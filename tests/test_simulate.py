@@ -83,7 +83,6 @@ _GOLDEN_RUNS = {
         "tag_death": ("float64", (2, 4396), "702fb4c12ac7f8ee"),
         "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
         "separation_time": ("float64", (4396,), "805df64f61bc2355"),
-        "shared_splits": ("int64", (4396,), "eabd00566ebb81f6"),
         "snapshot_run": ("int64", (10111,), "a41099340ee8e4c8"),
         "snapshot_mass": ("float64", (10111,), "5c2db42349b20b03"),
         "peak_rows": ("int64", (2,), "e4a18577b740d1a1"),
@@ -100,7 +99,6 @@ _GOLDEN_RUNS = {
         "tag_death": ("float64", (2, 4396), "0ab554bc04ac7924"),
         "tag_killed": ("bool", (2, 4396), "01db09d27965b304"),
         "separation_time": ("float64", (4396,), "5f17d28027c6a010"),
-        "shared_splits": ("int64", (4396,), "b77cea39784e80b8"),
         "snapshot_run": ("int64", (3124,), "bcabcfeafc258840"),
         "snapshot_mass": ("float64", (3124,), "4452fbd8d90abe29"),
         "peak_rows": ("int64", (2,), "9e05252a5fea8628"),
@@ -121,7 +119,6 @@ _GOLDEN_RUNS_HALF = {
         "tag_death": ("float64", (2, 4396), "20f0793177232694"),
         "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
         "separation_time": ("float64", (4396,), "7b81e53d2f7f030e"),
-        "shared_splits": ("int64", (4396,), "eabd00566ebb81f6"),
         "snapshot_run": ("int64", (12044,), "b4ad3efec2d51c64"),
         "snapshot_mass": ("float64", (12044,), "907c8ca4646385e6"),
         "peak_rows": ("int64", (2,), "e4a18577b740d1a1"),
@@ -138,7 +135,6 @@ _GOLDEN_RUNS_HALF = {
         "tag_death": ("float64", (2, 4396), "ea398088ae9d8d4a"),
         "tag_killed": ("bool", (2, 4396), "01db09d27965b304"),
         "separation_time": ("float64", (4396,), "aa9273bbd02ea2de"),
-        "shared_splits": ("int64", (4396,), "b77cea39784e80b8"),
         "snapshot_run": ("int64", (18375,), "a66cc04208f0aa77"),
         "snapshot_mass": ("float64", (18375,), "0be356f1d5a20459"),
         "peak_rows": ("int64", (2,), "9e05252a5fea8628"),
@@ -159,7 +155,6 @@ _GOLDEN_RUNS_TWO = {
         "tag_death": ("float64", (2, 4396), "510510a2db2d3723"),
         "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
         "separation_time": ("float64", (4396,), "a4b68f1742159970"),
-        "shared_splits": ("int64", (4396,), "eabd00566ebb81f6"),
         "snapshot_run": ("int64", (4743,), "774bb833bfd8ce19"),
         "snapshot_mass": ("float64", (4743,), "5464fbc021df69b6"),
         "peak_rows": ("int64", (2,), "e4a18577b740d1a1"),
@@ -176,7 +171,6 @@ _GOLDEN_RUNS_TWO = {
         "tag_death": ("float64", (2, 4396), "864c76b64a3ce588"),
         "tag_killed": ("bool", (2, 4396), "01db09d27965b304"),
         "separation_time": ("float64", (4396,), "d66961a466418974"),
-        "shared_splits": ("int64", (4396,), "b77cea39784e80b8"),
         "snapshot_run": ("int64", (508,), "5b4fb38d8d4ad456"),
         "snapshot_mass": ("float64", (508,), "8c3bda932a924a43"),
         "peak_rows": ("int64", (2,), "9e05252a5fea8628"),
@@ -210,7 +204,6 @@ _GOLDEN_SAMPLERS = {
         "tag_death": ("float64", (2, 4396), "e0fce9223bbd966a"),
         "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
         "separation_time": ("float64", (4396,), "bd8fae58bcac86fe"),
-        "shared_splits": ("int64", (4396,), "aab30c4a39318c3f"),
         "snapshot_run": ("int64", (10971,), "be16d416298cf99c"),
         "snapshot_mass": ("float64", (10971,), "cb4c674a377de8ce"),
         "peak_rows": ("int64", (2,), "5bf7ca3caecbf755"),
@@ -227,7 +220,6 @@ _GOLDEN_SAMPLERS = {
         "tag_death": ("float64", (2, 4396), "f03fa71a2d4cc3db"),
         "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
         "separation_time": ("float64", (4396,), "ee622fe0ff3cb260"),
-        "shared_splits": ("int64", (4396,), "1d5ff6c49b44cdf1"),
         "snapshot_run": ("int64", (8177,), "83488e7c6198e9fa"),
         "snapshot_mass": ("float64", (8177,), "cf22fbe5cdeb2240"),
         "peak_rows": ("int64", (2,), "51524e4fb35eed5b"),
@@ -244,7 +236,6 @@ _GOLDEN_SAMPLERS = {
         "tag_death": ("float64", (2, 4396), "6ead7b8f3e154ac0"),
         "tag_killed": ("bool", (2, 4396), "4b8519664feaa766"),
         "separation_time": ("float64", (4396,), "400b45064acda6fe"),
-        "shared_splits": ("int64", (4396,), "079431f93330604f"),
         "snapshot_run": ("int64", (968,), "6f68b814f3654be6"),
         "snapshot_mass": ("float64", (968,), "37401d5ce338a0e7"),
         "peak_rows": ("int64", (2,), "ff7fded2bafc0a94"),
@@ -261,7 +252,6 @@ _GOLDEN_SAMPLERS = {
         "tag_death": ("float64", (2, 4396), "d296987e19965af8"),
         "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
         "separation_time": ("float64", (4396,), "963b82a940a96b1d"),
-        "shared_splits": ("int64", (4396,), "7a464d5112d256f9"),
         "snapshot_run": ("int64", (8835,), "649cfbaf4391de33"),
         "snapshot_mass": ("float64", (8835,), "4f2a5467e543d7ce"),
         "peak_rows": ("int64", (2,), "3b4bbaba64a7b5ba"),
@@ -467,7 +457,6 @@ def test_two_tag_run_records():
                         checkpoints=(0.5, 1.0, 2.0), seed=42, tags=2)
     ens = run_ensemble(EX1, cfg, 200)
     assert np.all(ens.zeta > 0.0)
-    assert np.all(ens.shared_splits >= 1)
     # every run separates its tags, at the latest at the split that kills
     # both by routing them into one sub-cutoff child
     assert np.all(np.isfinite(ens.separation_time))
@@ -488,18 +477,6 @@ def test_two_tags_identities():
     for rows in suites.values():
         assert [r["t"] for r in rows] == [1.0, 2.0, 4.0]
         assert all(abs(r["z"]) <= 4.0 for r in rows)
-
-
-def test_separation_split_count_geometric():
-    # identical-2: the tags separate at each shared split with chance 1/2,
-    # so the number of shared splits is geometric with mean 2
-    cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -10, seed=32, tags=2,
-                        record_sums=False, record_largest=False)
-    ens = run_ensemble(EX1, cfg, 50000)
-    mean = ens.shared_splits.mean()
-    se = ens.shared_splits.std(ddof=1) / math.sqrt(ens.n_runs)
-    assert abs(mean - 2.0) <= 4.0 * se
-    assert not ens.tag_killed.any()
 
 
 def test_snapshot_consistent_with_sums():
