@@ -44,8 +44,10 @@ _STIRLING_SWITCH = 50.0
 
 def _stirling_tail(z):
     # remainder J(z) of log Gamma(z) = (z-1/2)log z - z + log(2 pi)/2 + J(z);
-    # truncation below 1e-18 for z >= 50
-    w = 1.0 / (z * z)
+    # truncation below 1e-18 for z >= 50; 1/z squared underflows quietly
+    # where z * z would overflow
+    r = 1.0 / z
+    w = r * r
     return ((((1.0 / 1188.0) * w - 1.0 / 1680.0) * w + 1.0 / 1260.0) * w
             - 1.0 / 360.0) * w / z + 1.0 / (12.0 * z)
 
@@ -105,10 +107,11 @@ def _digamma_diff_stirling(y, c):
     z = y + c
 
     def jp(z):  # derivative of the Stirling remainder
-        w = 1.0 / (z * z)
+        r = 1.0 / z
+        w = r * r
         return ((-1.0 / 252.0 * w + 1.0 / 120.0) * w - 1.0 / 12.0) * w
 
-    return np.log1p(c / y) + c / (2.0 * y * z) + jp(z) - jp(y)
+    return np.log1p(c / y) + 0.5 * c / y / z + jp(z) - jp(y)
 
 
 def digamma_diff(y, c):
@@ -408,7 +411,7 @@ class PhiEvaluator:
         if method == "atomic-sum":
             if spec.variant != ATOMIC:
                 raise DomainError("atomic-sum method needs an atomic spec")
-            _, parts_flat, _, sizes = atom_arrays(spec)
+            _, parts_flat, sizes = atom_arrays(spec)
             log_parts = np.log(parts_flat)
             weights = np.repeat(np.array([w for w, _ in spec.atoms]), sizes)
             total = math.fsum(w for w, _ in spec.atoms)

@@ -1,4 +1,4 @@
-"""Dislocation measures: registry families, samplers, and diagnostics.
+"""Dislocation measures: registry families and samplers.
 
 A dislocation measure assigns rates to splits of a unit mass into a
 nonincreasing sequence of fractions.  Three storage variants cover the
@@ -26,7 +26,6 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import betainc, betaln
 
 from .errors import ConfigError, UnsupportedSampling
-from .quadrature import tanh_sinh
 
 ATOMIC = "atomic"
 BINARY_DENSITY = "binary-density"
@@ -54,6 +53,16 @@ class DislocationSpec:
     def __post_init__(self):
         if self.scale <= 0.0 or not math.isfinite(self.scale):
             raise ConfigError(f"scale must be positive, got {self.scale}")
+        if self.variant == ATOMIC:
+            # every clock and phi value is bounded by the total rate
+            try:
+                rate = self.scale * self.base_mass
+            except OverflowError:  # fsum's intermediate overflow
+                rate = math.inf
+            if not rate < math.inf:
+                raise ConfigError(
+                    f"total rate, scale {self.scale} times the sum of the "
+                    f"atom weights, is not finite")
 
     def param(self, name):
         for key, value in self.params:
@@ -278,14 +287,6 @@ def split_cdf(spec, u):
     return betainc(a, b, u) - betainc(a, b, 1.0 - u)
 
 
-def density_endpoint_exponent(spec):
-    """Exponent e with density(u) ~ C (1-u)**e as u -> 1-, used for the
-    symbolic endpoint-integrability decision."""
-    if spec.family == "uniform-k":
-        return 0.0
-    return min(spec.param("a"), spec.param("b")) - 1.0  # beta
-
-
 _ICDF_CACHE = {}
 _ICDF_CELLS = 2 ** 14  # a power of two, so q * _ICDF_CELLS is exact
 
@@ -382,44 +383,11 @@ def split_icdf(spec, q):
 
 def atom_arrays(spec):
     """Flat atom layout for vectorized work: cumulative normalized weights,
-    flattened parts, atom offsets, atom sizes."""
+    flattened parts, atom sizes."""
     weights = np.array([w for w, _ in spec.atoms], dtype=float)
     cum = np.cumsum(weights) / weights.sum()
     cum[-1] = 1.0
     parts_flat = np.concatenate([np.asarray(p, dtype=float)
                                  for _, p in spec.atoms])
     sizes = np.array([len(p) for _, p in spec.atoms], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return cum, parts_flat, offsets, sizes
-
-
-# ---------------------------------------------------------------------------
-# integrability of (1 - s1)^{-1}, the sharp-proportionality condition
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    finite: bool         # None when the variant gives no answer
-    value: float
-
-
-def integrability_diagnostic(spec):
-    """Decide whether the measure integrates (1 - s1)^{-1} finitely and
-    report the integral.
-
-    Atomic: exact weighted sum.  Binary density: symbolic decision from the
-    endpoint exponent of the density (quadrature alone cannot certify
-    divergence), value by quadrature when finite.  Analytic: unknown.
-    """
-    if spec.variant == ATOMIC:
-        value = spec.scale * math.fsum(
-            w / (1.0 - parts[0]) for w, parts in spec.atoms)
-        return IntegrabilityReport(True, value)
-    if spec.variant == BINARY_DENSITY:
-        exponent = density_endpoint_exponent(spec)
-        if exponent <= 0.0:
-            return IntegrabilityReport(False, math.inf)
-        value, _, _ = tanh_sinh(
-            lambda u, uma, bmx: split_density(spec, u, bmx) / bmx,
-            0.5, 1.0, rel_tol=1e-9)
-        return IntegrabilityReport(True, spec.scale * value)
-    return IntegrabilityReport(None, math.nan)
+    return cum, parts_flat, sizes

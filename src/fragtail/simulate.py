@@ -6,26 +6,29 @@ splits according to the normalized dislocation measure.  Children below the
 dust cutoff leave the system, so each run's extinction time is the estimate
 at that cutoff and is biased low.
 
-Two engines implement the same law:
+One vectorized level-synchronous engine advances a whole frontier of
+fragments at once across many runs (fragments evolve independently given
+their masses, so no global event queue is needed for per-fragment birth and
+death times).  No row carries its run id: the frontier is sorted by run and
+keeps one row count per run, which gives the event counts and the segment
+bounds of the per-run maximum.  A level builds only the children above the
+cutoff, which are a prefix of each parent's parts, from the flat indices of
+the keep mask; their quotient by the split width is the parent row, and a
+search in it gives each run's next count and each tag's new row.  Each row
+carries the time of the first checkpoint at or after its birth, so only the
+rows that straddle a checkpoint are searched and binned; and the beta split
+sampler evaluates its PCHIP inverse CDF in place through a bucket index over
+q, bit for bit as scipy would.
 
-* a vectorized level-synchronous engine that advances a whole frontier of
-  fragments at once across many runs (fragments evolve independently given
-  their masses, so no global event queue is needed for per-fragment birth
-  and death times).  No row carries its run id: the frontier is sorted by
-  run and keeps one row count per run, which gives the event counts and
-  the segment bounds of the per-run maximum.  A level builds only the
-  children above the cutoff, which are a prefix of each parent's parts,
-  from the flat indices of the keep mask; their quotient by the split
-  width is the parent row, and a search in it gives each run's next count
-  and each tag's new row.  Each row carries the time of the first
-  checkpoint at or after its birth, so only the rows that straddle a
-  checkpoint are searched and binned; and the beta split sampler
-  evaluates its PCHIP inverse CDF in place through a bucket index over q,
-  bit for bit as scipy would;
-* a per-node reference engine that gives every node of the fragment tree
-  its own counter-derived random stream, so that runs with different dust
-  cutoffs share the event tree pathwise (the coupling used to check that a
-  coarser cutoff can only lower the extinction estimate).
+The engine's law is checked against the exact law at its own cutoff: the
+extinction time of a fragment of mass m solves the max-type recursive
+equation zeta_m = E / (r m**alpha) + max over the kept children of
+zeta_child (Aldous & Bandyopadhyay, Ann. Appl. Probab. 2005), so its CDF
+F_m obeys F_m' = r m**alpha (E_split[prod over kept children F_child] -
+F_m), a finite ODE system for an atomic measure and a (time, log mass)
+system for a binary density.  The tests solve it from the measure's
+definition, with no sampler code in common, and take a one-sample KS of
+the engine's extinction times against it.
 
 All randomness is consumed as inverse transforms of generator uniforms in a
 documented order, so identical seed and configuration replay bit for bit.
@@ -239,7 +242,7 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     if binary:
         width = 2
     else:
-        cum_w, _, _, sizes = atom_arrays(spec)
+        cum_w, _, sizes = atom_arrays(spec)
         part_table = _part_table(spec)
         part_cum = _part_cum(part_table)
         part_cols = part_table.T
@@ -531,7 +534,7 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
     inv_phi = 1.0 / PhiEvaluator(spec).phi(abs_alpha)
     binary = spec.variant == BINARY_DENSITY
     if not binary:
-        cum_w, _, _, sizes = atom_arrays(spec)
+        cum_w, _, sizes = atom_arrays(spec)
         part_table = _part_table(spec)
         part_cum = _part_cum(part_table)
         last_col = part_table.shape[1] - 1
@@ -549,7 +552,6 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
         acc[active] += -np.log1p(-u) / (rate_total * _pow(m[active], alpha))
         if binary:
             s1 = np.asarray(split_icdf(spec, rng.random(k)))
-            s1 = np.clip(s1, 0.5, 1.0 - 1e-15)
             r = rng.random(k)
             frac = np.where(r < s1, s1, 1.0 - s1)
             died_dust = np.zeros(k, dtype=bool)
@@ -572,69 +574,3 @@ def sample_zeta_tag(spec, alpha, tol, n, rng):
         bound[active[stopped]] = rem[stopped]
         active = active[~(died_dust | stopped)]
     raise NumericalFailure("tagged lineage failed to reach the stop rule")
-
-
-# ---------------------------------------------------------------------------
-# reference engine: per-node random streams, pathwise cutoff coupling
-
-
-@dataclass(frozen=True)
-class NodeRecord:
-    mass: float
-    birth: float
-    death: float
-    depth: int
-
-
-def reference_cascade(spec, alpha, cutoff, seed, max_nodes=2 ** 22):
-    """Depth-first cascade where each tree node owns a derived generator.
-
-    Node randomness is keyed by the node's path from the root (child index
-    at each split), so two runs with the same seed but different cutoffs
-    realize nested subtrees of one and the same infinite tree: lowering the
-    cutoff only appends nodes, never changes shared ones.  Returns the list
-    of split NodeRecords (one per processed fragment).
-    """
-    if not alpha < 0.0:
-        raise ConfigError("cascade needs a negative self-similarity index")
-    rate_total = total_mass(spec)
-    binary = spec.variant == BINARY_DENSITY
-    if not binary:
-        cum_w, parts_flat, offsets, sizes = atom_arrays(spec)
-    records = []
-    stack = [(1.0, 0.0, mix_seed(seed, 0), 0)]
-    while stack:
-        mass, birth, node_seed, depth = stack.pop()
-        if len(records) >= max_nodes:
-            raise NumericalFailure("reference cascade exceeded max_nodes")
-        rng = _generator(node_seed)
-        wait = -math.log1p(-rng.random()) / (rate_total * mass ** alpha)
-        death = birth + wait
-        if binary:
-            s1 = float(split_icdf(spec, rng.random()))
-            s1 = min(max(s1, 0.5), 1.0 - 1e-15)
-            parts = (s1, 1.0 - s1)
-        else:
-            if len(sizes) == 1:
-                j = 0
-            else:
-                j = int(np.searchsorted(cum_w, rng.random(), side="right"))
-            parts = tuple(parts_flat[offsets[j]:offsets[j] + sizes[j]])
-        records.append(NodeRecord(mass=mass, birth=birth, death=death,
-                                  depth=depth))
-        for i, frac in enumerate(parts):
-            child_mass = mass * frac
-            if child_mass >= cutoff:
-                stack.append((child_mass, death,
-                              mix_seed(node_seed, i + 1), depth + 1))
-    return records
-
-
-def extinction_from_records(records, cutoff):
-    """Extinction estimate of the subtree of fragments at or above a coarser
-    cutoff; the pathwise coupling check compares this across cutoffs."""
-    best = 0.0
-    for rec in records:
-        if rec.mass >= cutoff and rec.death > best:
-            best = rec.death
-    return best

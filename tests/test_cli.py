@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ def uniform2(tmp_path):
 def stable2(tmp_path):
     path = tmp_path / "stable2.json"
     path.write_text(json.dumps({"family": "stable", "params": {"gamma": 2.0}}))
+    return str(path)
+
+
+@pytest.fixture
+def stable15(tmp_path):
+    path = tmp_path / "stable15.json"
+    path.write_text(json.dumps({"family": "stable", "params": {"gamma": 1.5}}))
     return str(path)
 
 
@@ -227,16 +235,26 @@ def test_identity_with_zero_difference_on_every_run(capsys, uniform2, suite):
         == [(0.0, 0.0, 0.0)] * 2
 
 
-def test_exit_codes(capsys, tmp_path, uniform2, stable2):
+@pytest.mark.parametrize("verb,x", [("phi", "1e200"), ("psi", "1e150")])
+def test_large_arguments_warn_of_no_overflow(capsys, stable15, verb, x):
+    # the Stirling terms at these arguments reach z ~ 1e200 and take 1/z
+    # squared, which underflows quietly, where z squared would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([verb, "--measure", stable15, "--x", x])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert all(math.isfinite(v) for v in json.loads(captured.out).values()
+               if isinstance(v, float))
+
+
+def test_exit_codes(capsys, uniform2, stable2, stable15):
     assert main(["psi", "--measure", uniform2, "--x", "1.0"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
     # psi's root past the largest float is psi's domain error, not phi's
-    stable15 = tmp_path / "stable15.json"
-    stable15.write_text(json.dumps({"family": "stable",
-                                    "params": {"gamma": 1.5}}))
     with np.errstate(over="ignore"):
-        assert main(["psi", "--measure", str(stable15), "--x", "1e300"]) == 1
+        assert main(["psi", "--measure", stable15, "--x", "1e300"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
     assert err["message"].startswith("psi(1e+300)")
@@ -293,6 +311,8 @@ def test_malformed_thread_count_is_a_config_error(capsys, monkeypatch,
     (["simulate", "--alpha", "-1", "--runs", "10", "--max-events", "0"],
      "ConfigError"),
     (["phi", "--x", "1", "--measure", "nan_weight.json"], "ConfigError"),
+    (["phi", "--x", "1", "--measure", "huge_weights.json"], "ConfigError"),
+    (["phi", "--x", "1", "--measure", "huge_scale.json"], "ConfigError"),
     (["simulate", "--alpha", "-1", "--runs", "3", "--cutoff", "0.01",
       "--measure", "text_scale.json"], "ConfigError"),
     (["phi", "--x", "nan"], "DomainError"),
@@ -331,6 +351,13 @@ def test_malformed_options_fail_with_a_json_error(tmp_path, monkeypatch,
             {"family": "atomic", "params": {"atoms": [atom]}}))
         (tmp_path / "text_scale.json").write_text(json.dumps(
             {"family": "uniform-k", "params": {"k": 2}, "scale": "abc"}))
+        # each weight and the scale are finite, the total rate is not
+        huge = {"weight": 1e308, "parts": [0.5, 0.5]}
+        (tmp_path / "huge_weights.json").write_text(json.dumps(
+            {"family": "atomic", "params": {"atoms": [huge, huge]}}))
+        ten = {"weight": 10.0, "parts": [0.5, 0.5]}
+        (tmp_path / "huge_scale.json").write_text(json.dumps(
+            {"family": "atomic", "params": {"atoms": [ten]}, "scale": 1e308}))
     elif argv[0] != "verify":
         argv = argv + ["--measure", uniform2]
     assert main(argv) == (2 if error == "ConfigError" else 1)

@@ -1,8 +1,10 @@
-"""Every function the package exports is called outside its own module.
+"""Every public name in the package has a caller in the package or demos.
 
-A public name whose only callers are tests is a second API to keep working;
-this test keeps ``fragtail/__init__`` to what the package and its demos use.
-Classes and the error types are exempt.
+A public name whose only callers are tests is a second API to keep working.
+The first test keeps the functions ``fragtail/__init__`` exports to those
+called outside their own module; the second keeps every public module-level
+function and class in ``src/fragtail`` to those that ``src/`` or ``demos/``
+reference, so test-only code cannot hide behind a public name.
 """
 
 import ast
@@ -41,3 +43,22 @@ def test_every_exported_function_has_a_caller_outside_its_module():
                    if path != home):
             orphans.append(f"{obj.__module__}.{name}")
     assert not orphans, f"exported, no caller outside its module: {orphans}"
+
+
+def _public_definitions(path):
+    """Module-level functions and classes a file defines without a leading
+    underscore."""
+    return [node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_every_public_definition_is_referenced_outside_the_tests():
+    # a re-export in __init__ is an import, not a reference
+    used = set().union(*(_names_used(path) for path in SOURCES))
+    unreferenced = [f"{path.stem}.{name}"
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for name in _public_definitions(path)
+                    if name not in used]
+    assert not unreferenced, (
+        f"public, referenced only from tests: {unreferenced}")

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 from scipy.interpolate import PchipInterpolator
-from scipy.stats import beta as beta_dist
 
 from fragtail import measures as M
 from fragtail.errors import ConfigError, UnsupportedSampling
-from fragtail.measures import (from_config, integrability_diagnostic,
-                               split_cdf, split_icdf, total_mass)
+from fragtail.measures import (from_config, split_cdf, split_icdf,
+                               total_mass)
 from fragtail.simulate import CascadeConfig, run_ensemble
 
 
@@ -138,27 +136,6 @@ def test_icdf_matches_scipy_pchip_bit_for_bit(a, b):
         got = split_icdf(spec, scalar)
         assert type(got) is type(expected)
         assert got == expected
-
-
-def test_integrability_diagnostic_atomic_exact():
-    report = integrability_diagnostic(M.make_identical(2))
-    assert report.finite and abs(report.value - 2.0) < 1e-14
-
-
-def test_integrability_diagnostic_beta():
-    report = integrability_diagnostic(M.make_beta(2.0, 3.0))
-    assert report.finite
-    # oracle: E[1/min(B, 1-B)] by direct quadrature of the Beta density
-    pdf = beta_dist(2.0, 3.0).pdf
-    oracle, _ = integrate.quad(
-        lambda u: pdf(u) / min(u, 1.0 - u), 0.0, 1.0, points=[0.5], limit=200)
-    assert abs(report.value - oracle) / oracle < 1e-6
-
-    uniform = integrability_diagnostic(M.make_uniform(2))
-    assert uniform.finite is False and uniform.value == math.inf
-    # min(a, b) = 1 is the critical case: still divergent
-    assert integrability_diagnostic(M.make_beta(1.0, 2.0)).finite is False
-    assert integrability_diagnostic(M.make_stable(1.5)).finite is None
 
 
 def test_from_config_and_errors():

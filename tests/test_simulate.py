@@ -4,15 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.sparse import csr_array
 
 from fragtail import measures as M
 from fragtail.acceptance import two_tag_identities
 from fragtail.errors import ConfigError, UnsupportedSampling
 from fragtail.simulate import (CHUNK_RUNS, CascadeConfig, _generator,
-                               _simulate_chunk, extinction_from_records,
-                               mix_seed, reference_cascade, run_ensemble,
+                               _simulate_chunk, mix_seed, run_ensemble,
                                sample_zeta_tag)
-from fragtail.stats import ks_two_sample
+from fragtail.stats import KS_COEF_1PCT
 
 EX1 = M.make_identical(2)
 EX2 = M.make_uniform(2)
@@ -491,28 +492,109 @@ def test_snapshot_consistent_with_sums():
     assert np.allclose(s1_from_snap, ens.sum_masses[:, 0], atol=1e-12)
 
 
-def test_engines_agree_in_law():
-    # heap reference engine vs vectorized engine at the same coarse cutoff
-    cutoff = 2.0 ** -6
-    ref = np.array([
-        extinction_from_records(
-            reference_cascade(EX2, -1.0, cutoff, seed=mix_seed(900, i)),
-            cutoff)
-        for i in range(1200)])
-    cfg = CascadeConfig(alpha=-1.0, cutoff=cutoff, seed=901,
+# The exact law at the engine's cutoff c.  A fragment of mass m waits an
+# exponential time of rate r m**alpha, splits, and keeps the children of
+# mass at least c, so zeta_m = E / (r m**alpha) + max over the kept children
+# of zeta_child (Aldous & Bandyopadhyay, Ann. Appl. Probab. 2005) and
+# F_m(t) = P(zeta_m <= t) solves
+#     F_m' = r m**alpha (E_split[prod over kept children F_child] - F_m),
+# with F_m(0) = 0.  The solves below build this system from the measure's
+# definition and share no sampler code with the engine.
+
+LAW_CUTOFF = 2.0 ** -6
+
+
+def _atomic_law(spec, alpha, cutoff, t):
+    """P(zeta <= t) at the sorted times t for an atomic measure: one state
+    per mass reachable at or above the cutoff, each child formed as parent
+    times part and kept iff at least the cutoff, as the engine does."""
+    weights = np.array([w for w, _ in spec.atoms])
+    width = max(len(parts) for _, parts in spec.atoms)
+    index, masses, kids = {1.0: 0}, [1.0], []
+    for m in masses:  # grows as new masses are reached
+        row = []
+        for _, parts in spec.atoms:
+            kept = [m * p for p in parts if m * p >= cutoff]
+            for child in kept:
+                if child not in index:
+                    index[child] = len(masses)
+                    masses.append(child)
+            # a dropped or missing part points at the trailing 1.0
+            row.append([index[c] for c in kept] + [-1] * (width - len(kept)))
+        kids.append(row)
+    kids = np.array(kids).transpose(1, 0, 2)  # (atoms, states, parts)
+    split_w = weights / weights.sum()
+    rate = spec.scale * math.fsum(weights) * np.array(masses) ** alpha
+
+    def rhs(_, f):
+        split = split_w @ np.append(f, 1.0)[kids].prod(axis=2)
+        return rate * (split - f)
+
+    sol = solve_ivp(rhs, (0.0, t[-1]), np.zeros(len(masses)),
+                    method="LSODA", t_eval=t, rtol=1e-10, atol=1e-12)
+    assert sol.success
+    return sol.y[0]
+
+
+def _uniform2_law(alpha, cutoff, t, per_octave=12, nodes=200):
+    """P(zeta <= t) at the sorted times t for uniform-2, whose larger piece
+    s is uniform on (1/2, 1):
+        F'(t, m) = m**alpha (2 int_{1/2}^1 F(t, ms) F(t, m(1-s)) ds - F(t, m)),
+    with F = 1 below the cutoff, by the method of lines on x = log2(m/c):
+    per_octave points per octave, midpoint nodes in s and linear
+    interpolation in x."""
+    n_x = round(-math.log2(cutoff)) * per_octave + 1
+    x = np.arange(n_x) / per_octave
+    s = 0.5 + (np.arange(nodes) + 0.5) / (2 * nodes)
+
+    def interpolation(part):
+        # rows (grid point, node) of weights on [F, 1]: linear in x at or
+        # above the cutoff; below it, weight 1 on the trailing 1.0 (the
+        # row's second entry, of weight 0, lands there too)
+        at = (x[:, None] + np.log2(part)).ravel() * per_octave
+        dust = at < 0.0
+        lo = np.where(dust, n_x, np.minimum(at.astype(int), n_x - 2))
+        frac = np.where(dust, 0.0, at - lo)
+        cols = np.concatenate([lo, np.minimum(lo + 1, n_x)])
+        return csr_array((np.concatenate([1.0 - frac, frac]),
+                          (np.tile(np.arange(at.size), 2), cols)),
+                         shape=(at.size, n_x + 1))
+
+    larger, smaller = interpolation(s), interpolation(1.0 - s)
+    rate = (cutoff * 2.0 ** x) ** alpha
+
+    def rhs(_, f):
+        f1 = np.append(f, 1.0)
+        split = ((larger @ f1) * (smaller @ f1)).reshape(n_x, nodes)
+        return rate * (split.mean(axis=1) - f)
+
+    sol = solve_ivp(rhs, (0.0, t[-1]), np.zeros(n_x), method="LSODA",
+                    t_eval=t, rtol=1e-10, atol=1e-12)
+    assert sol.success
+    return sol.y[-1]
+
+
+@pytest.mark.parametrize("spec", [
+    EX1,
+    M.make_atomic([(1, (0.6, 0.3)), (2, (0.5, 0.5))]),
+    M.make_atomic([(1, (0.5, 0.2)), (2, (0.4, 0.3, 0.1))]),
+    EX2,
+], ids=["identical-2", "two-atom", "atoms-with-dust", "uniform-2"])
+def test_engine_matches_exact_law_at_its_cutoff(spec):
+    # one-sample KS of the engine's extinction times against the CDF of the
+    # law at the engine's own cutoff; against the law at 2**-12 every case
+    # reads sqrt(n) D of 2.0 to 2.5, past the gate
+    cfg = CascadeConfig(alpha=-1.0, cutoff=LAW_CUTOFF, seed=901,
                         record_sums=False, record_largest=False)
-    vec = run_ensemble(EX2, cfg, 4000)
-    assert ks_two_sample(ref, vec.zeta).pass_1pct
-
-
-def test_cutoff_coupling_monotone():
-    # one fixed event tree: a coarser cutoff can only drop events, never
-    # add them, so the extinction estimate is nonincreasing in the cutoff
-    for seed in range(30):
-        records = reference_cascade(EX2, -1.0, 2.0 ** -12, seed=seed)
-        exts = [extinction_from_records(records, c)
-                for c in (2.0 ** -12, 2.0 ** -9, 2.0 ** -6, 2.0 ** -3)]
-        assert all(exts[i] >= exts[i + 1] - 1e-15 for i in range(3))
+    zeta = np.sort(run_ensemble(spec, cfg, 20000).zeta)
+    if spec.variant == M.ATOMIC:
+        cdf = _atomic_law(spec, cfg.alpha, cfg.cutoff, zeta)
+    else:
+        cdf = _uniform2_law(cfg.alpha, cfg.cutoff, zeta)
+    n = zeta.size
+    rank = np.arange(1, n + 1) / n
+    distance = max((rank - cdf).max(), (cdf - (rank - 1.0 / n)).max())
+    assert distance < KS_COEF_1PCT / math.sqrt(n)
 
 
 def test_largest_fragment_small_time_expansion():
