@@ -230,6 +230,8 @@ def cmd_simulate(args):
               "checkpoints": list(checkpoints), "seed": args.seed,
               "tags": args.tags, "max_events": args.max_events,
               "workers": workers}
+    if ens.split_ks_error is not None:
+        config["split_ks_error"] = ens.split_ks_error
     cols = ["run_id", "extinction_est", "truncated", "first_event"]
     data = [np.arange(ens.n_runs), ens.zeta, ens.truncated, ens.first_event]
     for j, t in enumerate(checkpoints):

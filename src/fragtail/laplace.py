@@ -45,11 +45,11 @@ _STIRLING_SWITCH = 50.0
 def _stirling_tail(z):
     # remainder J(z) of log Gamma(z) = (z-1/2)log z - z + log(2 pi)/2 + J(z);
     # truncation below 1e-18 for z >= 50; 1/z squared underflows quietly
-    # where z * z would overflow
+    # where z * z would overflow, and r / 12 where 12 z would
     r = 1.0 / z
     w = r * r
     return ((((1.0 / 1188.0) * w - 1.0 / 1680.0) * w + 1.0 / 1260.0) * w
-            - 1.0 / 360.0) * w / z + 1.0 / (12.0 * z)
+            - 1.0 / 360.0) * w / z + r / 12.0
 
 
 def _switch(y, c, use_first, first, second):

@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import betainc, betaln
+from scipy.special import betainc, betaln, expit
 
 from .errors import ConfigError, UnsupportedSampling
 
@@ -287,95 +286,336 @@ def split_cdf(spec, u):
     return betainc(a, b, u) - betainc(a, b, 1.0 - u)
 
 
-_ICDF_CACHE = {}
-_ICDF_CELLS = 2 ** 14  # a power of two, so q * _ICDF_CELLS is exact
+# ---------------------------------------------------------------------------
+# split sampler: the inverse CDF of the larger piece as tables of cells
+
+_CELLS = 2 ** 12      # bulk cells, uniform in q: a power of two, so that q
+                      # times it and the fraction of that are exact
+_END_CELLS = 2 ** 9   # fewest and most cells of an end table
+_MAX_END_CELLS = 2 ** 13
+_CELL_ERROR = 1e-11   # the largest estimated error in q a cell may have
+_REACH = 54.0         # end tables stop at q or 1 - q = 2^-54; the
+                      # generator's uniforms stay 2^-53 from either end
+_NEAR_HALF = 2.0 ** -40  # the head table stops at u = 1/2 + this ...
+_NEAR_ONE = 2.0 ** -54   # ... and the tail at u = 1 - this, which rounds to 1
+_START_POINTS = 400   # coarse grid that each node solve starts from
+_LOGIT_CDF = 8.0      # F is taken from d = u - 1/2 up to y = log(d / v) = 8
+_LN2 = math.log(2.0)
 
 
-def _icdf_nodes(spec):
-    """(q, u) nodes of the beta inverse CDF: u graded toward 1, where the
-    CDF flattens whenever min(a, b) < 1, q strictly increasing from 0 to 1."""
-    u_mid = np.linspace(0.5, 1.0 - 2.0 ** -8, 1200, endpoint=False)
-    tail = 1.0 - 2.0 ** -8 * np.exp(
-        np.linspace(0.0, math.log(2.0 ** -44), 800))
-    u_nodes = np.unique(np.concatenate([[0.5], u_mid, tail, [1.0]]))
-    q_nodes = np.asarray(split_cdf(spec, u_nodes), dtype=float)
-    q_nodes[0], q_nodes[-1] = 0.0, 1.0
-    keep = np.concatenate([[True], np.diff(q_nodes) > 0.0])
-    keep[-1] = True
-    q_nodes, u_nodes = q_nodes[keep], u_nodes[keep]
-    if q_nodes[-2] >= 1.0:  # drop interior nodes that already saturate
-        interior = q_nodes < 1.0
-        interior[-1] = True
-        q_nodes, u_nodes = q_nodes[interior], u_nodes[interior]
-    return q_nodes, u_nodes
+def _log(x):
+    """log x, with -inf at x = 0 and no warning."""
+    x = np.asarray(x, dtype=float)
+    return np.log(x, out=np.full_like(x, -np.inf), where=x > 0.0)
 
 
-def _build_icdf(spec):
-    """Inverse CDF of the larger piece on q in [0, 1].
+def _cell_error(log_slope, width):
+    """Leading-order midpoint error in q of the cubic Hermite cells of an
+    interpolant u(z) on uniform cells, from log |du/dz| at the nodes and
+    the cells' q-widths.  The midpoint error in u is u''''(z) step^4 / 384,
+    and u'''' / u' = l'^3 + 3 l' l'' + l''' for l = log |u'|, taken here in
+    differences across the cells."""
+    d1 = np.diff(log_slope)
+    d2 = np.pad(np.diff(d1), 1, mode="edge")
+    d3 = np.pad(np.diff(d1, 2), 1, mode="edge")
+    d2 = 0.5 * (d2[:-1] + d2[1:])
+    return np.abs(d1 ** 3 + 3.0 * d1 * d2 + d3) * width / 384.0
 
-    Beta families interpolate the nodes of ``_icdf_nodes`` monotonically
-    (PCHIP) and evaluate scipy's own breakpoints and coefficients here,
-    bit for bit as ``PchipInterpolator.__call__`` would: intervals are
-    half-open [x_i, x_i+1) with the last one closed, and the cubic is summed
-    as c3 + c2 s + c1 s^2 + c0 s^3 with s^3 = (s s) s.  The interval of q is
-    found through _ICDF_CELLS equal cells over [0, 1]: a cell's first
-    interval plus one step when q passes the next breakpoint, with a
-    search only in the few cells that hold two or more breakpoints."""
-    if spec.family == "uniform-k":
-        return lambda q: 0.5 * (1.0 + np.asarray(q, dtype=float))
-    pchip = PchipInterpolator(*_icdf_nodes(spec), extrapolate=False)
-    x = pchip.x
-    c0, c1, c2, c3 = pchip.c
-    edges = np.arange(_ICDF_CELLS + 1) / _ICDF_CELLS
-    first = np.minimum(np.searchsorted(x, edges, side="right") - 1,
-                       len(x) - 2)
-    # past the last interval the next breakpoint is +inf, so q = 1.0 (the
-    # last cell, alone) stays in the closed last interval
-    x_next = np.append(x[1:-1], np.inf)[first]
-    crowded = np.append(np.searchsorted(x, edges[1:], side="left")
-                        - np.searchsorted(x, edges[:-1], side="right") >= 2,
-                        False)
 
-    def icdf(q):
-        # in place on a few q-sized buffers, with the docstring's products
-        # and sums in their order
+def _rounding_floor(log_f):
+    """Error in q that rounding adds in each cell between nodes with these
+    log densities: u in [1/2, 1) is held to 2^-53, which moves F by the
+    density times that, and F itself is evaluated to about 2^-52."""
+    return 2.0 ** -52 * (1.0 + np.exp(np.maximum(log_f[:-1], log_f[1:])))
+
+
+def _hermite(u, slope):
+    """(4, cells) coefficients of u = c0 + s (c1 + s (c2 + s c3)) for s in
+    [0, 1] through the nodes u with the given slopes in s.  Each cell's
+    slopes are limited to 3 times its secant, which keeps it monotone."""
+    d = np.diff(u)
+    limit = 3.0 * np.abs(d)
+    m0 = np.copysign(np.minimum(np.abs(slope[:-1]), limit), d)
+    m1 = np.copysign(np.minimum(np.abs(slope[1:]), limit), d)
+    return np.array([u[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
+
+
+def _horner(coef, cell, s):
+    """Each cell's cubic at its local s, summed in place."""
+    c0, c1, c2, c3 = coef
+    out = c3[cell]
+    out *= s
+    out += c2[cell]
+    out *= s
+    out += c1[cell]
+    out *= s
+    out += c0[cell]
+    return out
+
+
+class _BetaSplitLaw:
+    """The larger piece's law under beta(a, b) in the forms the table build
+    needs: log F(1/2 + d), the log survival log(1 - F(1 - v)) =
+    log P(smaller piece < v) and the log density, each free of
+    cancellation and of a log of 0; and F^-1 in the logits of u and q.
+
+    The solve works in y = log(d / v), with d = u - 1/2 and v = 1 - u both
+    taken from y without rounding loss, on logit q = log F - log(1 - F):
+    near either end the map is close to linear, so one Newton step from a
+    cubic interpolation of a coarse grid lands on the root."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        # F(1/2 + d) = I(1/2 + d) - I(1/2 - d) for the regularized
+        # incomplete beta I with the parameters in either order; the order
+        # with I(1/2) <= 1/2 cancels least
+        self.near_half = (a, b) if betainc(a, b, 0.5) <= 0.5 else (b, a)
+        self.lognorm = betaln(a, b)
+        # from d = _NEAR_HALF to v = _NEAR_ONE / 4; F is taken from d up to
+        # u = 3/4 here, close enough to find the median
+        y = np.linspace(math.log(_NEAR_HALF / (0.5 - _NEAR_HALF)),
+                        math.log((0.5 - _NEAR_ONE / 4.0) / (_NEAR_ONE / 4.0)),
+                        _START_POINTS)
+        g, dg_dy = self._logit_q(y, y <= 0.0)
+        keep = np.isfinite(g) & (dg_dy > 0.0)
+        self.grid = y[keep], g[keep], 1.0 / dg_dy[keep]
+        # y at the median, past which the survival is the smaller side
+        self.y_cdf = min(_LOGIT_CDF, float(np.interp(0.0, g[keep], y[keep])))
+
+    def log_cdf(self, d):
+        a, b = self.near_half
+        return _log(betainc(a, b, 0.5 + d) - betainc(a, b, 0.5 - d))
+
+    def log_sf(self, v):
+        return _log(betainc(self.a, self.b, v) + betainc(self.b, self.a, v))
+
+    def log_pdf(self, u, v):
+        """log split_density(u) with v = 1 - u given exactly."""
+        lu, lv = np.log(u), np.log(v)
+        a1, b1 = self.a - 1.0, self.b - 1.0
+        return np.logaddexp(a1 * lu + b1 * lv, a1 * lv + b1 * lu) - self.lognorm
+
+    def _logit_q(self, y, cdf_side):
+        """logit q at y and its derivative in y, with F from d where
+        ``cdf_side`` holds and from the survival at v elsewhere."""
+        d, v = _halves(y)
+        log_small = np.empty_like(y)
+        log_small[cdf_side] = self.log_cdf(d[cdf_side])
+        log_small[~cdf_side] = self.log_sf(v[~cdf_side])
+        log_large = _log(-np.expm1(log_small))
+        g = np.where(cdf_side, log_small - log_large, log_large - log_small)
+        # dq/du = f and du/dy = 2 d v
+        log_dg = (self.log_pdf(_join(d, v, y), v) + math.log(2.0)
+                  + np.log(d) + np.log(v) - log_small - log_large)
+        return g, np.exp(log_dg)
+
+    def nodes(self, log_q, log_p):
+        """(u, log density at u) where F(u) = q, given log q and
+        log p = log(1 - q): one Newton step in y from the cubic Hermite
+        interpolation of the grid, kept in the grid's bracket of the
+        root."""
+        target = log_q - log_p
+        y_grid, g_grid, dy_dg = self.grid
+        k = np.clip(np.searchsorted(g_grid, target), 1, len(g_grid) - 1)
+        lo, hi = y_grid[k - 1], y_grid[k]
+        width = g_grid[k] - g_grid[k - 1]
+        s = np.clip((target - g_grid[k - 1]) / width, 0.0, 1.0)
+        r = 1.0 - s
+        y = (lo * (1.0 + 2.0 * s) * r * r + hi * s * s * (3.0 - 2.0 * s)
+             + width * s * r * (dy_dg[k - 1] * r - dy_dg[k] * s))
+        g, dg_dy = self._logit_q(y, y <= self.y_cdf)
+        step = np.isfinite(g) & (dg_dy > 0.0) & np.isfinite(dg_dy)
+        y[step] -= (g[step] - target[step]) / dg_dy[step]
+        np.clip(y, lo, hi, out=y)
+        d, v = _halves(y)
+        u = _join(d, v, y)
+        return u, self.log_pdf(u, v)
+
+
+def _halves(y):
+    """d = u - 1/2 and v = 1 - u at y = log(d / v), as d + v = 1/2."""
+    return 0.5 * expit(y), 0.5 * expit(-y)
+
+
+def _join(d, v, y):
+    """u from whichever of d and v is the smaller, so u rounds once."""
+    return np.where(y <= 0.0, 0.5 + d, 1.0 - v)
+
+
+class _EndTable:
+    """u against z = -log2 y, where y = q on the head table and 1 - q on
+    the tail table: cubic Hermite cells uniform in z from the switch z0,
+    where the bulk table's node (u0, log density) is taken over, to the
+    table's reach.  Past the reach one last cell holds the end value, 1/2
+    on the head and 1 on the tail.  The cell count is the least power of
+    two from _END_CELLS, at most _MAX_END_CELLS, whose cells all pass
+    _CELL_ERROR.
+
+    ``check_q`` are the cells' midpoints in q and ``check_floor`` their
+    rounding floors (see ``_rounding_floor``).  The end cell maps q to its
+    end value, which is off in q by at most ``end_bound``, and its q range
+    starts at ``bound_q``."""
+
+    def __init__(self, law, z0, u0, log_f0, head):
+        self.z0 = z0
+        end = 0.5 if head else 1.0
+        reach = law.log_cdf(_NEAR_HALF) if head else law.log_sf(_NEAR_ONE)
+        z1 = max(z0, min(_REACH, -float(reach) / _LN2))
+        self.end_bound = 2.0 ** -z1
+        self.bound_q = 0.0 if head else 1.0 - self.end_bound
+        if z1 == z0:  # u rounds to its end value past the switch
+            self.inv_step, self.last = 0.0, 0
+            self.coef = np.array([[end], [0.0], [0.0], [0.0]])
+            self.check_q = self.check_floor = np.empty(0)
+            return
+        cells = _END_CELLS
+        while True:
+            z = np.linspace(z0, z1, cells + 1)
+            log_y = -_LN2 * z
+            log_rest = np.log1p(-np.exp(log_y))
+            u, log_f = law.nodes(*((log_y, log_rest) if head
+                                   else (log_rest, log_y)))
+            u[0], log_f[0] = u0, log_f0
+            log_slope = log_y - log_f  # log(|du/dz| / ln 2)
+            worst = _cell_error(log_slope,
+                                np.abs(np.diff(np.exp(log_y)))).max()
+            if worst <= _CELL_ERROR or cells >= _MAX_END_CELLS:
+                break
+            # a cell's error falls with the fourth power of its width
+            cells = min(_MAX_END_CELLS, cells * 2 ** math.ceil(
+                math.log2((worst / _CELL_ERROR) ** 0.25)))
+        step = (z1 - z0) / cells
+        sign = -1.0 if head else 1.0
+        self.inv_step, self.last = 1.0 / step, cells
+        self.coef = np.concatenate(
+            [_hermite(u, sign * _LN2 * step * np.exp(log_slope)),
+             [[end], [0.0], [0.0], [0.0]]], axis=1)
+        mid = -_LN2 * (z[:-1] + 0.5 * step)
+        self.check_q = np.exp(mid) if head else -np.expm1(mid)
+        self.check_floor = _rounding_floor(log_f)
+
+    def __call__(self, y):
+        z = np.log2(np.maximum(y, 2.0 ** -(_REACH + 8.0)))
+        p = np.multiply(z, -self.inv_step, out=z)
+        p -= self.z0 * self.inv_step
+        np.maximum(p, 0.0, out=p)
+        cell = p.astype(np.intp)
+        np.minimum(cell, self.last, out=cell)
+        p -= cell
+        out = _horner(self.coef, cell, p)
+        return np.clip(out, 0.5, 1.0, out=out)
+
+
+class _BetaSplitTable:
+    """Inverse CDF of the larger piece under beta(a, b), from three tables
+    of cubic Hermite cells.  Every node is exact: u = F^-1(q) solved by
+    Newton's method, with slope 1/f(u) formed in log domain.
+
+    The bulk table has _CELLS cells uniform in q, so a draw is one cell
+    index, four coefficient gathers and a Horner sum.  Near q = 1, and near
+    q = 0 when the density at 1/2 is small, u(q) turns singular; there the
+    tail table, uniform in -log2(1 - q), and the head table, uniform in
+    -log2 q, take over.  The switches are per spec: the bulk keeps the
+    cells from the first to the last whose estimated error passes
+    _CELL_ERROR.
+
+    The build measures the table's error |F(icdf(q)) - q|, the
+    Kolmogorov-Smirnov distance between the sampled and the exact law, at
+    every cell's midpoint, where a Hermite cell's error peaks, and keeps
+    twice that plus the cell's rounding floor as the cell's error; an end
+    cell keeps its bound.  ``ks_error`` reads the largest over the cells
+    that map to smaller pieces at or above a cutoff."""
+
+    def __init__(self, spec):
+        law = _BetaSplitLaw(spec.param("a"), spec.param("b"))
+        n = _CELLS
+        j = np.arange(1, n)
+        u, log_f = law.nodes(np.log(j / n), np.log((n - j) / n))
+        u = np.concatenate(([0.5], u, [1.0]))
+        log_f = np.concatenate(([law.log_pdf(0.5, 0.5)], log_f, [np.nan]))
+        good = np.flatnonzero(_cell_error(-log_f, 1.0 / n) <= _CELL_ERROR)
+        lo, hi = (good[0], good[-1] + 1) if good.size else (n // 2, n // 2)
+        coef = np.zeros((4, n + 1))
+        coef[0] = u
+        coef[:, lo:hi] = _hermite(u[lo:hi + 1], np.exp(-log_f[lo:hi + 1]) / n)
+        self.coef = tuple(np.ascontiguousarray(c) for c in coef)
+        self.head_q, self.tail_q = lo / n, hi / n
+        self.head = (_EndTable(law, math.log2(n / lo), u[lo], log_f[lo], True)
+                     if lo else None)
+        self.tail = _EndTable(law, math.log2(n / (n - hi)), u[hi], log_f[hi],
+                              False)
+
+        ends = [t for t in (self.head, self.tail) if t is not None]
+        q = np.concatenate([(np.arange(lo, hi) + 0.5) / n]
+                           + [t.check_q for t in ends])
+        error = 2.0 * np.abs(split_cdf(spec, self(q)) - q) + np.concatenate(
+            [_rounding_floor(log_f[lo:hi + 1])] + [t.check_floor for t in ends])
+        q = np.append(q, [t.bound_q for t in ends])
+        error = np.append(error, [t.end_bound for t in ends])
+        order = np.argsort(q, kind="stable")
+        self.check_q = q[order]
+        # a KS distance is at most 1
+        self.check_error = np.minimum(np.maximum.accumulate(error[order]), 1.0)
+        self.spec = spec
+
+    def __call__(self, q):
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
-        cell = (flat * _ICDF_CELLS).astype(np.intp)
-        i = first[cell]
-        i += flat >= x_next[cell]
-        slow = np.flatnonzero(crowded[cell])
-        del cell
-        if slow.size:
-            i[slow] = np.searchsorted(x, flat[slow], side="right") - 1
-        s = x[i]
-        np.subtract(flat, s, out=s)
-        s2 = s * s
-        out = c3[i]
-        term = c2[i]
-        term *= s
-        out += term
-        np.take(c1, i, out=term)
-        term *= s2
-        out += term
-        s2 *= s
-        np.take(c0, i, out=term)
-        term *= s2
-        out += term
-        np.clip(out, 0.5, 1.0, out=out)
+        s = flat * _CELLS
+        cell = s.astype(np.intp)
+        s -= cell
+        out = _horner(self.coef, cell, s)
+        rows = np.flatnonzero(flat >= self.tail_q)
+        if rows.size:
+            out[rows] = self.tail(1.0 - flat[rows])
+        if self.head is not None:
+            rows = np.flatnonzero(flat < self.head_q)
+            if rows.size:
+                out[rows] = self.head(flat[rows])
         return out.reshape(q.shape)[()]
 
-    return icdf
+    def ks_error(self, cutoff):
+        q = split_cdf(self.spec, max(1.0 - cutoff, 0.5))
+        k = min(int(np.searchsorted(self.check_q, q)), len(self.check_q) - 1)
+        return float(self.check_error[k])
+
+
+class _UniformSplit:
+    """uniform-2's exact inverse CDF, s1 = (1 + q) / 2."""
+
+    def __call__(self, q):
+        return 0.5 * (1.0 + np.asarray(q, dtype=float))
+
+    def ks_error(self, cutoff):
+        return 0.0
+
+
+_SAMPLERS = {}
+
+
+def _split_sampler(spec):
+    if spec.variant != BINARY_DENSITY:
+        raise UnsupportedSampling("the split sampler needs a binary-density "
+                                  "spec")
+    if spec not in _SAMPLERS:
+        _SAMPLERS[spec] = (_UniformSplit() if spec.family == "uniform-k" else
+                           _BetaSplitTable(spec))
+    return _SAMPLERS[spec]
 
 
 def split_icdf(spec, q):
     """Inverse CDF of the larger piece; the bulk sampler used everywhere so
-    that draws are a pure inverse transform of uniforms."""
-    if spec.variant != BINARY_DENSITY:
-        raise UnsupportedSampling("split_icdf needs a binary-density spec")
-    if spec not in _ICDF_CACHE:
-        _ICDF_CACHE[spec] = _build_icdf(spec)
-    return _ICDF_CACHE[spec](q)
+    that draws are a pure inverse transform of uniforms.  The table is
+    built on first use."""
+    return _split_sampler(spec)(q)
+
+
+def split_ks_error(spec, cutoff=0.0):
+    """Kolmogorov-Smirnov distance between the law ``split_icdf`` samples
+    and the exact split law, over the smaller pieces at or above
+    ``cutoff`` (all of them at 0), as measured when the table was built:
+    0 for uniform-2, whose inverse is exact."""
+    return _split_sampler(spec).ks_error(cutoff)
 
 
 # ---------------------------------------------------------------------------

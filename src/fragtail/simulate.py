@@ -16,9 +16,11 @@ cutoff, which are a prefix of each parent's parts, from the flat indices of
 the keep mask; their quotient by the split width is the parent row, and a
 search in it gives each run's next count and each tag's new row.  Each row
 carries the time of the first checkpoint at or after its birth, so only the
-rows that straddle a checkpoint are searched and binned; and the beta split
-sampler evaluates its PCHIP inverse CDF in place through a bucket index over
-q, bit for bit as scipy would.
+rows that straddle a checkpoint are searched and binned.  A binary split
+draws its larger piece by inverse transform, exactly for uniform-2 and for
+beta from the cell tables of ``measures.split_icdf``, whose Kolmogorov-
+Smirnov error over the pieces the cutoff keeps each ensemble reports as
+``split_ks_error``.
 
 The engine's law is checked against the exact law at its own cutoff: the
 extinction time of a fragment of mass m solves the max-type recursive
@@ -53,7 +55,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure, UnsupportedSampling
 from .laplace import PhiEvaluator
-from .measures import ATOMIC, BINARY_DENSITY, atom_arrays, split_icdf, total_mass
+from .measures import (ATOMIC, BINARY_DENSITY, atom_arrays, split_icdf,
+                       split_ks_error, total_mass)
 
 CHUNK_RUNS = 4096
 _MASK64 = (1 << 64) - 1
@@ -186,6 +189,9 @@ class EnsembleResult:
     snapshot_run: np.ndarray = None  # run ids of fragments alive at snapshot_time
     snapshot_mass: np.ndarray = None
     peak_rows: np.ndarray = None     # (chunks,) widest frontier of each
+    # measured KS distance of the split sampler's law from the exact one
+    # over the smaller pieces at or above the cutoff; None for atomic specs
+    split_ks_error: float = None
 
     @property
     def n_runs(self):
@@ -223,8 +229,9 @@ def _simulate_chunk(spec, cfg, n_runs, rng):
     (inf past the last): a child's is its parent's first checkpoint at or
     after death, so the checkpoint search, key build and bincounts run
     only on the rows whose lifetime straddles a checkpoint.
-    Beta splits draw s1 from the bucketed PCHIP inverse CDF of
-    ``measures.split_icdf``.  Tagged lineages are tracked as one frontier
+    Binary splits draw s1 by inverse transform through
+    ``measures.split_icdf``: one cell lookup and a cubic per draw for
+    beta.  Tagged lineages are tracked as one frontier
     row index per run, so tag bookkeeping costs O(n_runs) per level
     regardless of frontier width.  ``peak_rows`` is the widest frontier of
     the chunk.
@@ -474,10 +481,15 @@ def run_ensemble(spec, cfg, n_runs, workers=None):
     PCG64(mix_seed(cfg.seed, c)), which makes the result independent of the
     worker count and bit-identical across replays.  ``workers`` (at least 1)
     defaults to the FRAGTAIL_THREADS environment variable (1 if unset).
+    A binary-density spec's result carries ``split_ks_error`` at the
+    config's cutoff.
     """
     if n_runs <= 0:
         raise ConfigError("need a positive number of runs")
     workers = resolve_workers(workers)
+    # builds the split sampler, if any, before the pool starts
+    split_error = (split_ks_error(spec, cfg.cutoff)
+                   if spec.variant == BINARY_DENSITY else None)
     sizes = _chunk_sizes(n_runs)
     jobs = [(spec, cfg, n, i) for i, n in enumerate(sizes)]
     if workers > 1 and len(jobs) > 1:
@@ -486,10 +498,10 @@ def run_ensemble(spec, cfg, n_runs, workers=None):
             chunks = list(pool.map(_run_chunk_job, jobs, chunksize=1))
     else:
         chunks = [_run_chunk_job(job) for job in jobs]
-    return _merge_chunks(cfg, chunks, sizes)
+    return _merge_chunks(cfg, chunks, sizes, split_error)
 
 
-def _merge_chunks(cfg, chunks, sizes):
+def _merge_chunks(cfg, chunks, sizes, split_error):
     """One result from the chunk dicts in chunk order: the per-tag arrays
     join along their run axis 1, snapshot run ids are shifted by the
     chunk's first run, and ``peak_rows`` keeps one entry per chunk."""
@@ -501,7 +513,8 @@ def _merge_chunks(cfg, chunks, sizes):
             parts = [p + off for p, off in zip(parts, offsets)]
         merged[key] = None if parts[0] is None else np.concatenate(
             parts, axis=1 if key.startswith("tag_") else 0)
-    return EnsembleResult(checkpoints=cfg.checkpoints, **merged)
+    return EnsembleResult(checkpoints=cfg.checkpoints,
+                          split_ks_error=split_error, **merged)
 
 
 # ---------------------------------------------------------------------------

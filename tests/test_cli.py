@@ -235,10 +235,12 @@ def test_identity_with_zero_difference_on_every_run(capsys, uniform2, suite):
         == [(0.0, 0.0, 0.0)] * 2
 
 
-@pytest.mark.parametrize("verb,x", [("phi", "1e200"), ("psi", "1e150")])
+@pytest.mark.parametrize("verb,x", [("phi", "1e200"), ("psi", "1e150"),
+                                   ("phi", "1e308")])
 def test_large_arguments_warn_of_no_overflow(capsys, stable15, verb, x):
     # the Stirling terms at these arguments reach z ~ 1e200 and take 1/z
-    # squared, which underflows quietly, where z squared would overflow
+    # squared, which underflows quietly, where z squared would overflow; at
+    # 1e308 they take 1/z over 12, where 12 z would overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([verb, "--measure", stable15, "--x", x])
@@ -376,6 +378,24 @@ def test_simulate_records_the_worker_count_it_used(tmp_path, monkeypatch,
                 + argv) == 0
     config = json.loads(out.read_text().splitlines()[0][2:])
     assert config["workers"] == workers
+
+
+@pytest.mark.parametrize("family,params,error", [
+    ("beta", {"a": 2, "b": 3}, 1e-9), ("uniform-k", {"k": 2}, 0.0),
+    ("identical-k", {"k": 2}, None)])
+def test_simulate_config_line_shows_the_split_sampler_error(
+        tmp_path, family, params, error):
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"family": family, "params": params}))
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--measure", str(measure), "--alpha", "-1",
+                 "--runs", "10", "--cutoff", "0.01", "--workers", "1",
+                 "--out", str(out)]) == 0
+    config = json.loads(out.read_text().splitlines()[0][2:])
+    if error is None:
+        assert "split_ks_error" not in config
+    else:
+        assert 0.0 <= config["split_ks_error"] <= error
 
 
 @pytest.mark.parametrize("shape_text", ["", '{"exp_terms": [[1.0, 1.0]]}'],

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import PchipInterpolator
 
 from fragtail import measures as M
 from fragtail.errors import ConfigError, UnsupportedSampling
 from fragtail.measures import (from_config, split_cdf, split_icdf,
-                               total_mass)
+                               split_ks_error, total_mass)
 from fragtail.simulate import CascadeConfig, run_ensemble
 
 
@@ -106,36 +105,87 @@ def test_sampler_matches_analytic_cdf(a, b):
     assert ks < 1.63 / math.sqrt(n)
 
 
-def test_icdf_round_trip_accuracy():
-    spec = M.make_beta(2.0, 3.0)
-    q = np.linspace(1e-6, 1.0 - 1e-6, 2001)
-    u = np.asarray(split_icdf(spec, q))
-    back = np.asarray(split_cdf(spec, u))
-    assert np.max(np.abs(back - q)) < 1e-9
+def _dense_q():
+    """2M uniform q, sweeps of q and 1 - q from 1 down to 2^-54 and 2^-52
+    in log scale, and both ends, sorted."""
+    ln2 = math.log(2.0)
+    return np.sort(np.concatenate([
+        rng(26).random(2_000_000),
+        -np.expm1(-np.linspace(0.0, 52.0 * ln2, 100_001)),
+        np.exp(-np.linspace(0.0, 54.0 * ln2, 100_001)), [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.8, 0.9), (10.0, 0.2),
-                                 (0.3, 5.0)])
-def test_icdf_matches_scipy_pchip_bit_for_bit(a, b):
-    # the bucketed evaluator against scipy's own evaluation of the same
-    # interpolant, on uniforms, every breakpoint and its neighbours, and
-    # the ends: q = 1.0 lies in the closed last interval
+def _round_trip(spec, q, cutoff):
+    """icdf at q, and |F(icdf(q)) - q| over the q whose smaller piece is at
+    least the cutoff."""
+    u = split_icdf(spec, q)
+    keep = q <= split_cdf(spec, 1.0 - cutoff)
+    return u, np.abs(split_cdf(spec, u[keep]) - q[keep])
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.8, 0.9), (1.0, 1.0)])
+def test_icdf_error_on_a_dense_grid(a, b):
+    # the beta specs that the tests and the benchmark sample: over every
+    # piece the error is at most 1e-9, and the error measured when the
+    # table was built is no smaller than the one this grid finds
     spec = M.make_beta(a, b)
-    q_nodes, u_nodes = M._icdf_nodes(spec)
-    pchip = PchipInterpolator(q_nodes, u_nodes, extrapolate=False)
-    q = np.concatenate([rng(17).random(10 ** 6), q_nodes,
-                        np.nextafter(q_nodes, 0.0), np.nextafter(q_nodes, 2.0),
-                        [0.0, np.nextafter(1.0, 0.0), 1.0]])
-    q = q[(q >= 0.0) & (q <= 1.0)]
-    expected = np.clip(pchip(q), 0.5, 1.0)
-    got = split_icdf(spec, q)
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    for scalar in (0.3, 1.0):
-        expected = np.clip(pchip(scalar), 0.5, 1.0)
+    u, err = _round_trip(spec, _dense_q(), 0.0)
+    assert np.all(np.diff(u) >= 0.0)
+    assert err.max() <= split_ks_error(spec) <= 1e-9
+
+
+# KS error over smaller pieces of at least 2^-30 of the PCHIP interpolant
+# that the cell tables replaced, measured with the grid above
+_PCHIP_ERROR = {(0.5, 2.0): 4.01e-6, (0.3, 0.3): 7.41e-6,
+                (0.05, 20.0): 7.04e-6, (5.0, 0.01): 1.57e-6,
+                (50.0, 0.5): 2.39e-5, (10.0, 0.2): 1.52e-5,
+                (0.3, 5.0): 1.19e-5}
+
+
+@pytest.mark.parametrize("a,b", list(_PCHIP_ERROR))
+def test_icdf_on_skewed_specs(a, b):
+    # pieces below 2^-53 cannot be told from 0 next to 1, so the check
+    # stops at smaller pieces of 2^-30, the default cutoff
+    spec = M.make_beta(a, b)
+    u, err = _round_trip(spec, _dense_q(), 2.0 ** -30)
+    assert not np.isnan(u).any()
+    assert np.all(np.diff(u) >= 0.0)
+    assert err.max() <= split_ks_error(spec, 2.0 ** -30)
+    assert err.max() <= _PCHIP_ERROR[a, b]
+
+
+@pytest.mark.parametrize("spec", [M.make_uniform(2), M.make_beta(2.0, 3.0),
+                                  M.make_beta(50.0, 0.5)])
+def test_icdf_ends_scalars_and_batches(spec):
+    # the ends map to the ends of (1/2, 1); a scalar gives a scalar; and a
+    # draw does not depend on the batch it is drawn in
+    assert split_icdf(spec, 0.0) == 0.5 and split_icdf(spec, 1.0) == 1.0
+    ends = split_icdf(spec, np.linspace(0.0, 1.0, 8))
+    assert ends[0] == 0.5 and ends[-1] == 1.0 and np.all(np.diff(ends) >= 0)
+    for scalar in (0.3, 1.0, 1e-20):
         got = split_icdf(spec, scalar)
-        assert type(got) is type(expected)
-        assert got == expected
+        assert np.ndim(got) == 0 and isinstance(got, float)
+    q = np.concatenate([rng(27).random(5000), 1.0 - rng(28).random(50) ** 9,
+                        rng(29).random(50) ** 9])
+    whole = split_icdf(spec, q)
+    assert np.array_equal(whole, np.concatenate(
+        [split_icdf(spec, part) for part in np.array_split(q, 7)]))
+    assert np.array_equal(whole[::-1], split_icdf(spec, q[::-1]))
+    assert np.array_equal(whole[:200],
+                          [split_icdf(spec, x) for x in q[:200]])
+    assert np.array_equal(whole.reshape(50, 102),
+                          split_icdf(spec, q.reshape(50, 102)))
+
+
+def test_split_ks_error_shrinks_with_the_cutoff():
+    # uniform-2's inverse is exact; a beta table's error over the pieces
+    # a cutoff keeps can only grow as the cutoff falls
+    assert split_ks_error(M.make_uniform(2), 2.0 ** -9) == 0.0
+    spec = M.make_beta(0.3, 0.3)
+    errors = [split_ks_error(spec, 2.0 ** -k) for k in (1, 9, 30, 50)]
+    assert errors == sorted(errors) and errors[-1] <= split_ks_error(spec)
+    with pytest.raises(UnsupportedSampling):
+        split_ks_error(M.make_identical(2), 0.01)
 
 
 def test_from_config_and_errors():

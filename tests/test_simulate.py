@@ -61,10 +61,12 @@ def test_replay_bit_identical():
 
 def _digests(fields):
     """(dtype, shape, leading 16 hex digits of the SHA-256 of the bytes) of
-    every field that is not None."""
+    every field that is not None.  ``split_ks_error`` is left out: it is a
+    property of the sampler's table, not of the random stream, and is
+    tested on its own."""
     out = {}
     for name, value in fields.items():
-        if value is not None:
+        if value is not None and name != "split_ks_error":
             arr = np.ascontiguousarray(value)
             out[name] = (str(arr.dtype), arr.shape,
                          hashlib.sha256(arr.tobytes()).hexdigest()[:16])
@@ -189,24 +191,26 @@ _GOLDEN_ZETA_TAG = {
         "killed": ("bool", (1000,), "541b3e9daa09b20b"),
     },
 }
-# the sampler paths the ensembles above miss, at alpha = -1: the PCHIP
-# icdf, a single atom with three parts, several atoms with dust, and a
-# run cap that truncates most runs mid-level
+# the sampler paths the ensembles above miss, at alpha = -1: the beta
+# cell-table icdf, a single atom with three parts, several atoms with dust,
+# and a run cap that truncates most runs mid-level
 _GOLDEN_SAMPLERS = {
+    # re-frozen with the cell-table beta sampler, which replaced the PCHIP
+    # interpolant
     "beta-2-3": {
         "checkpoints": ("float64", (3,), "7150415ca2ea2ff3"),
-        "zeta": ("float64", (4396,), "b30eb5f6624837cd"),
+        "zeta": ("float64", (4396,), "43048725098e507a"),
         "truncated": ("bool", (4396,), "8204faf1c85ca40d"),
         "first_event": ("float64", (4396,), "e7e84a0ab543508c"),
-        "largest": ("float64", (4396, 3), "15f77a6394b2700e"),
-        "sum_masses": ("float64", (4396, 3), "87157e39d2bb6e15"),
-        "sum_squares": ("float64", (4396, 3), "505f84dc9d6c8570"),
-        "tag_mass": ("float64", (2, 4396, 3), "36dbd2955c4d590b"),
-        "tag_death": ("float64", (2, 4396), "e0fce9223bbd966a"),
+        "largest": ("float64", (4396, 3), "58174c985211624d"),
+        "sum_masses": ("float64", (4396, 3), "103b30debbeed24f"),
+        "sum_squares": ("float64", (4396, 3), "237469b8cc6ef998"),
+        "tag_mass": ("float64", (2, 4396, 3), "00e4518a5b462e62"),
+        "tag_death": ("float64", (2, 4396), "3f7583c74e7220b8"),
         "tag_killed": ("bool", (2, 4396), "d34437bbda7d5f9b"),
-        "separation_time": ("float64", (4396,), "bd8fae58bcac86fe"),
+        "separation_time": ("float64", (4396,), "d4e4b376fb388a29"),
         "snapshot_run": ("int64", (10971,), "be16d416298cf99c"),
-        "snapshot_mass": ("float64", (10971,), "cb4c674a377de8ce"),
+        "snapshot_mass": ("float64", (10971,), "de59cc58355a88d4"),
         "peak_rows": ("int64", (2,), "5bf7ca3caecbf755"),
     },
     "identical-3": {
@@ -258,9 +262,10 @@ _GOLDEN_SAMPLERS = {
         "peak_rows": ("int64", (2,), "3b4bbaba64a7b5ba"),
     },
 }
+# re-frozen with the cell-table beta sampler, as "beta-2-3" above
 _GOLDEN_ZETA_TAG_BETA = {
-    "value": ("float64", (1000,), "70e88776eab0caaf"),
-    "bound": ("float64", (1000,), "7c66413ef14c365a"),
+    "value": ("float64", (1000,), "8134bda4b1c8c68b"),
+    "bound": ("float64", (1000,), "273fb14949802f23"),
     "killed": ("bool", (1000,), "541b3e9daa09b20b"),
 }
 
@@ -359,6 +364,18 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.zeta, pooled.zeta)
     assert serial.peak_rows.shape == (2,)
     assert np.array_equal(serial.peak_rows, pooled.peak_rows)
+
+
+def test_ensembles_report_the_split_sampler_error():
+    # None for atoms, 0 for uniform-2's exact inverse, and for beta the
+    # table's measured error over the pieces the cutoff keeps
+    cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -6, seed=3)
+    assert run_ensemble(EX1, cfg, 50).split_ks_error is None
+    assert run_ensemble(EX2, cfg, 50).split_ks_error == 0.0
+    spec = M.make_beta(2.0, 3.0)
+    error = run_ensemble(spec, cfg, 50).split_ks_error
+    assert error == M.split_ks_error(spec, cfg.cutoff)
+    assert 0.0 < error <= 1e-9
 
 
 def test_analytic_family_cannot_be_simulated():
