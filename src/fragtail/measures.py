@@ -597,10 +597,12 @@ def _split_sampler(spec):
     if spec.variant != BINARY_DENSITY:
         raise UnsupportedSampling("the split sampler needs a binary-density "
                                   "spec")
-    if spec not in _SAMPLERS:
-        _SAMPLERS[spec] = (_UniformSplit() if spec.family == "uniform-k" else
-                           _BetaSplitTable(spec))
-    return _SAMPLERS[spec]
+    # keyed on the split law, which the scale leaves unchanged
+    key = (spec.family, spec.params)
+    if key not in _SAMPLERS:
+        _SAMPLERS[key] = (_UniformSplit() if spec.family == "uniform-k" else
+                          _BetaSplitTable(spec))
+    return _SAMPLERS[key]
 
 
 def split_icdf(spec, q):

@@ -67,6 +67,8 @@ def test_rescaling_leaves_split_law_unchanged():
     b = M.make_beta(2.0, 3.0, scale=5.0)
     q = rng(7).random(200)
     assert np.array_equal(split_icdf(a, q), split_icdf(b, q))
+    # one table serves every scale of the same split law
+    assert M._split_sampler(a) is M._split_sampler(b)
     # same uniforms, same splits: only the clock runs five times faster
     cfg = CascadeConfig(alpha=-1.0, cutoff=2.0 ** -6, seed=7)
     slow, fast = run_ensemble(a, cfg, 200), run_ensemble(b, cfg, 200)
