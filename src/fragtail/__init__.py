@@ -6,7 +6,7 @@ The package is organized around one pipeline:
 measures    dislocation measures (atomic, binary-density, analytic-only)
 laplace     the Laplace exponent phi of the tagged-fragment subordinator
 inversion   psi, the inverse of x -> x/phi(x)
-asymptotics tail formulas, the expansion engine, closed family shapes
+asymptotics tail formulas: the exact route and the all-orders shape engine
 simulate    event-exact cascade Monte Carlo with tagged lineages
 stats       survival curves, shape fits, paired and two-sample tests
 acceptance  the exact-in-law identity suites and the end-to-end
@@ -14,8 +14,7 @@ acceptance  the exact-in-law identity suites and the end-to-end
 """
 
 from .errors import (ConfigError, DomainError, FragtailError,
-                     InsufficientWindow, NumericalFailure, UncoveredRegion,
-                     UnsupportedExpansion, UnsupportedSampling)
+                     InsufficientWindow, NumericalFailure, UnsupportedSampling)
 from .measures import (DislocationSpec, intrinsic_alpha, load_measure,
                        make_atomic, make_beta, make_beta_splitting,
                        make_ford, make_identical, make_stable, make_uniform,

@@ -6,9 +6,10 @@ probability P(extinction > t):
 * the exact functional route: prefactors in psi and psi' times
   exp(-integral of psi(|alpha| r)/(|alpha| r) dr), evaluated numerically
   through :class:`~fragtail.inversion.PsiSolver`;
-* the expansion route: a two-term asymptotic expansion of phi is pushed
-  through the inversion algebra to a closed shape
-  t**a0 * exp(-sum a_i t**p_i).
+* the expansion route: phi's expansion at infinity is inverted, to every
+  order that shapes the tail, into the expansion of psi(x)/x and
+  integrated term by term to a closed shape t**a0 * exp(-sum a_i t**p_i).
+  This one engine gives the shape of every registry family.
 
 Both compute the same equivalence class up to a constant factor, which is
 exactly what the cross-validation tests pin down.  All tail values are
@@ -24,6 +25,7 @@ seeds a fresh computation, so a tail is the same with or without it.
 
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, rgamma
 
-from .errors import (ConfigError, DomainError, UncoveredRegion,
-                     UnsupportedExpansion)
+from .errors import ConfigError, DomainError
 from .measures import intrinsic_alpha, total_mass
 from .quadrature import tanh_sinh
 
@@ -62,26 +63,37 @@ def as_alpha(alpha):
     return AlphaIndex(float(alpha))
 
 
-def _normalize_terms(terms):
-    merged = {}
-    for c, g in terms:
-        g = float(g)
-        merged[g] = merged.get(g, 0.0) + float(c)
-    out = tuple(sorted(((c, g) for g, c in merged.items() if c != 0.0),
-                       key=lambda cg: cg[1]))
-    if any(g <= 0.0 for _, g in out):
-        raise ConfigError("expansion exponents must be positive")
-    return out
+_MERGE_TOL = 1e-12  # exponents closer than this are one term
+_MAX_LEVELS = 1024  # orders the shape engine solves for at most
+
+
+def _merge_terms(terms):
+    """(coef, exponent) pairs summed over exponents within _MERGE_TOL of one
+    another, sorted by increasing exponent, zero coefficients dropped.
+
+    A merged term keeps the exponent of its first pair in input order, so an
+    exact exponent listed first is not moved by a rounded copy of it formed
+    as a sum of others (0.3 + 0.3 + 0.3 against 0.9)."""
+    terms = [(float(c), float(e)) for c, e in terms]
+    groups = []  # [exponent the group started at, first input index, sum]
+    for i in sorted(range(len(terms)), key=lambda i: terms[i][1]):
+        c, e = terms[i]
+        if groups and e - groups[-1][0] <= _MERGE_TOL:
+            groups[-1][1] = min(groups[-1][1], i)
+            groups[-1][2] += c
+        else:
+            groups.append([e, i, c])
+    return [(c, terms[i][1]) for _, i, c in groups if c != 0.0]
 
 
 @dataclass(frozen=True)
 class ExpansionSpec:
     """Asymptotic expansion scale * x**gamma * (1 - sum c_i / x**g_i).
 
-    Used on the phi side (gamma in [0,1), exponents up to 1) as input to the
-    shape engine, and on the psi(x)/x side as its output, where gamma and
-    the exponents may exceed 1.  Terms are merged by exponent and sorted;
-    zero coefficients are dropped.
+    Used on the phi side (gamma in [0,1)) as input to the shape engine, and
+    on the psi(x)/x side as its output, where gamma and the exponents may
+    exceed 1.  Terms are merged by exponent and sorted; zero coefficients
+    are dropped.
     """
 
     gamma: float
@@ -93,7 +105,10 @@ class ExpansionSpec:
             raise ConfigError("leading index must be nonnegative")
         if not self.scale > 0.0:
             raise ConfigError("expansion scale must be positive")
-        object.__setattr__(self, "terms", _normalize_terms(self.terms))
+        terms = tuple(_merge_terms(self.terms))
+        if any(g <= 0.0 for _, g in terms):
+            raise ConfigError("expansion exponents must be positive")
+        object.__setattr__(self, "terms", terms)
 
     def value(self, x):
         """Evaluate the truncated expansion (remainder dropped)."""
@@ -104,42 +119,88 @@ class ExpansionSpec:
         return self.scale * x ** self.gamma * corr
 
 
-def _check_phi_side(exp):
-    if not 0.0 <= exp.gamma < 1.0:
-        raise UnsupportedExpansion(
-            f"leading index must lie in [0, 1), got {exp.gamma}")
-    for c, g in exp.terms:
-        if g <= 0.5:
-            raise UnsupportedExpansion(
-                f"correction exponent {g} <= 1/2: second-order cross terms "
-                "would contribute and are not implemented")
-        if g > 1.0 + 1e-12:
-            raise UnsupportedExpansion(
-                f"correction exponent {g} > 1 belongs to the remainder; "
-                "drop it before calling the engine")
+def _levels(gs):
+    """Every sum of the exponents gs up to 1, and 0, merged and sorted; a
+    level keeps the exponent of its first, fewest-term sum.  The solve
+    costs the square of their count, so past _MAX_LEVELS it is refused."""
+    levels = [0.0]
+    while True:
+        if len(levels) > _MAX_LEVELS or gs and min(gs) <= _MERGE_TOL:
+            raise ConfigError(
+                f"phi's expansion exponents {gs} sum to more than "
+                f"{_MAX_LEVELS} distinct orders up to 1")
+        grown = [e for _, e in _merge_terms(
+            [(1.0, e) for e in levels]
+            + [(1.0, e + g) for e in levels for g in gs
+               if e + g <= 1.0 + _MERGE_TOL])]
+        if len(grown) == len(levels):
+            return levels
+        levels = grown
+
+
+def _find(levels, e):
+    """Index of the level within _MERGE_TOL of e, or None."""
+    i = bisect.bisect_left(levels, e - _MERGE_TOL)
+    return i if i < len(levels) and levels[i] <= e + _MERGE_TOL else None
+
+
+def _psi_series(exp):
+    """psi(x)/x = A x**kappa sum w_G x**(-rho G) for a phi expansion
+    C x**gamma (1 - sum c_i x**-g_i), rho = 1/(1-gamma), kappa = gamma rho
+    and A = C**rho; returns (A, [(w_G, G)]) with G running over the sums of
+    the g_i up to 1, so to order x**-rho.
+
+    With F = psi(x)/x, x = psi/phi(psi) gives F = phi(x F), that is the
+    fixed point W = (1 - sum c_i (A x**rho W)**-g_i)**rho.  Its right side at
+    level G reads W below G only, so one sweep up the levels solves it: at
+    each level the sum, its power rho and the powers W**-g_i each come from
+    the levels already fixed, a power f = s**p of s = 1 + ... by
+    G f_G = sum_{H+K=G, H>0} (p H - K) s_H f_K.  A term with g_i > 1 lies
+    past order rho and is dropped.
+    """
+    g0 = exp.gamma
+    if not 0.0 <= g0 < 1.0:
+        raise ConfigError(f"phi's leading index must lie in [0, 1), got {g0}")
+    rho = 1.0 / (1.0 - g0)
+    a_big = exp.scale ** rho
+    pulls = [(c * a_big ** -g, g) for c, g in exp.terms
+             if g <= 1.0 + _MERGE_TOL]
+    levels = _levels([g for _, g in pulls])
+    n = len(levels)
+    # minus[i][j]: the level levels[i] - levels[j], for j = 1 .. i
+    minus = [[_find(levels, levels[i] - levels[j]) for j in range(i + 1)]
+             for i in range(n)]
+
+    def power_at(i, s, f, p):
+        return sum(s[j] * f[k] * (p * levels[j] - levels[k])
+                   for j, k in enumerate(minus[i]) if j and k is not None
+                   ) / levels[i]
+
+    inner, w = [1.0] + [0.0] * (n - 1), [1.0] + [0.0] * (n - 1)
+    w_pows = [[1.0] + [0.0] * (n - 1) for _ in pulls]  # W**-g_i
+    shifted = [[_find(levels, e - g) for e in levels] for _, g in pulls]
+    for i in range(1, n):
+        inner[i] = -sum(c * wp[at[i]] for (c, _), wp, at
+                        in zip(pulls, w_pows, shifted) if at[i] is not None)
+        w[i] = power_at(i, inner, w, rho)
+        for (_, g), wp in zip(pulls, w_pows):
+            wp[i] = power_at(i, w, wp, -g)
+    return a_big, list(zip(w, levels))
 
 
 def expand_psi_over_x(exp):
-    """Transform a phi expansion into the expansion of psi(x)/x.
+    """The expansion of psi(x)/x, to order x**-rho, from a phi expansion.
 
-    For phi = C x**gamma (1 - sum c_i x**-g_i + O(x**-1-eps)) the inverse
-    function algebra gives
-
-        psi(x)/x = C**(1/(1-gamma)) * x**(gamma/(1-gamma))
-                   * (1 - sum c_i' x**-g_i') + O(x**-1-eta)
-
-    with g_i' = g_i/(1-gamma) and
-    c_i' = c_i / ((1-gamma) * C**(g_i/(1-gamma))).
-    Requires every correction exponent in (1/2, 1].
+    For phi = C x**gamma (1 - sum c_i x**-g_i + o(x**-1)) the result is
+    C**rho x**(gamma rho) (1 - sum c_j' x**-g_j') + o(x**-rho), rho =
+    1/(1-gamma), whose exponents g_j' are rho times the sums of the g_i up
+    to 1; to first order c_j' = rho c_j / C**(rho g_j).
     """
-    _check_phi_side(exp)
-    g0 = exp.gamma
-    onemg = 1.0 - g0
-    c_big = exp.scale
-    new_terms = tuple(
-        (c / (onemg * c_big ** (g / onemg)), g / onemg) for c, g in exp.terms)
-    return ExpansionSpec(gamma=g0 / onemg, terms=new_terms,
-                         scale=c_big ** (1.0 / onemg))
+    a_big, w = _psi_series(exp)
+    onemg = 1.0 - exp.gamma
+    return ExpansionSpec(gamma=exp.gamma / onemg,
+                         terms=tuple((-c, g / onemg) for c, g in w[1:]),
+                         scale=a_big)
 
 
 @dataclass(frozen=True)
@@ -153,15 +214,9 @@ class TailShape:
 
     poly_exponent: float
     exp_terms: tuple
-    validity: str = ""
 
     def __post_init__(self):
-        merged = {}
-        for c, p in self.exp_terms:
-            p = float(p)
-            merged[p] = merged.get(p, 0.0) + float(c)
-        terms = tuple(sorted(((c, p) for p, c in merged.items() if c != 0.0),
-                             key=lambda cp: -cp[1]))
+        terms = tuple(reversed(_merge_terms(self.exp_terms)))
         if not terms:
             raise ConfigError("tail shape needs at least one decay term")
         if any(p <= 0.0 for _, p in terms):
@@ -182,64 +237,42 @@ class TailShape:
             out = out - c * t ** p
         return float(out) if out.ndim == 0 else out
 
-    def rescale_time(self, r):
-        """Shape of t -> shape of (r t), constants dropped.
-
-        This realizes the scaling law: multiplying the measure by r divides
-        the extinction time by r, so shapes for scaled measures follow from
-        the unit-rate shape by this substitution.
-        """
-        if not r > 0.0:
-            raise ConfigError("time rescaling factor must be positive")
-        return TailShape(
-            poly_exponent=self.poly_exponent,
-            exp_terms=tuple((c * r ** p, p) for c, p in self.exp_terms),
-            validity=self.validity)
-
 
 def tail_shape_from_expansion(exp, alpha):
     """Closed tail shape of the extinction time from a phi expansion.
 
-    With phi = C x**gamma (1 - sum c_i x**-g_i + O(x**-1-eps)), exponents in
-    (1/2, 1], the survival probability is asymptotically a constant times
+    With psi(x)/x = A x**kappa sum w_G x**(-rho G) from
+    :func:`expand_psi_over_x`, the survival probability is asymptotically a
+    constant times exp(-integral of psi(|alpha| r)/(|alpha| r) dr) times
+    the prefactor t**(kappa (1/|alpha| - 1/2)).  Integrated term by term,
+    each G < 1 is the exponential term
 
-        t**a0 * exp(-(1-gamma) |alpha|**(gamma/(1-gamma)) t**(1/(1-gamma))
-                    + sum_{g_i < 1} c_i |alpha|**((gamma-g_i)/(1-gamma))
-                      / (1-g_i) * t**((1-g_i)/(1-gamma)))
+        A w_G |alpha|**((gamma - G)/(1-gamma)) (1-gamma)/(1-G)
+          * t**((1-G)/(1-gamma)),
 
-    where a0 = gamma/(1-gamma) (1/|alpha| - 1/2) + c_k/(|alpha| (1-gamma))
-    and c_k is the coefficient at exponent 1.  A leading constant C /= 1 is
-    absorbed exactly by the time change t -> C t.
+    G = 0 (w = 1) the leading one, and G = 1 the power t**(-A w_1/|alpha|).
     """
-    alpha = as_alpha(alpha)
-    _check_phi_side(exp)
-    a_abs = alpha.abs
+    a_abs = as_alpha(alpha).abs
     g0 = exp.gamma
+    a_big, w = _psi_series(exp)
     onemg = 1.0 - g0
-    c_k = 0.0
-    corrections = []
-    for c, g in exp.terms:
-        if abs(g - 1.0) <= 1e-12:
-            c_k += c
+    poly = g0 / onemg * (1.0 / a_abs - 0.5)
+    terms = []
+    for c, g in w:
+        if abs(g - 1.0) <= _MERGE_TOL:
+            poly -= a_big * c / a_abs
         else:
-            corrections.append((c, g))
-    poly = g0 / onemg * (1.0 / a_abs - 0.5) + c_k / (a_abs * onemg)
-    terms = [(a_abs ** (g0 / onemg) * onemg, 1.0 / onemg)]
-    for c, g in corrections:
-        coef = -c * a_abs ** ((g0 - g) / onemg) / (1.0 - g)
-        terms.append((coef, (1.0 - g) / onemg))
-    shape = TailShape(poly_exponent=poly, exp_terms=tuple(terms))
-    if exp.scale != 1.0:
-        shape = shape.rescale_time(exp.scale)
-    return shape
+            terms.append((a_big * c * a_abs ** ((g0 - g) / onemg) * onemg
+                          / (1.0 - g), (1.0 - g) / onemg))
+    return TailShape(poly_exponent=poly, exp_terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
-# registry family expansions and closed shapes
+# registry family expansions and shapes
 
 
 def phi_expansion(spec):
-    """Two-term asymptotic expansion of phi for a registry family.
+    """Asymptotic expansion of phi for a registry family, up to o(1/x).
 
     Exponent-1 coefficients are kept; anything decaying faster than 1/x is
     remainder and dropped.  Atomic families approach their total rate
@@ -280,65 +313,8 @@ def phi_expansion(spec):
     raise ConfigError(f"no expansion registered for family {fam!r}")
 
 
-def _beta_shape(a, b, a_abs):
-    """Closed tail shapes of the binary Beta(a, b) split family, unit rate.
-
-    Six parameter regions for min(a, b) > 1/2 and four more for
-    min(a, b) in (1/3, 1/2] with max(a, b) in (1/2, 1); everything else has
-    extra expansion terms with no closed form implemented here.
-    """
-    a, b = sorted((a, b))  # split law is symmetric in (a, b)
-    ga, gb, gab = math.gamma(a), math.gamma(b), math.gamma(a + b)
-    lead = (1.0, 1.0)
-    term_a = (-gab / (gb * (1.0 - a) * a_abs ** a), 1.0 - a) \
-        if a < 1.0 else None
-    term_b = (-gab / (ga * (1.0 - b) * a_abs ** b), 1.0 - b) \
-        if b < 1.0 else None
-    tol = 1e-12
-    if a > 0.5 + tol:
-        if a >= 1.0 - tol and b >= 1.0 - tol:
-            if a <= 1.0 + tol and b <= 1.0 + tol:
-                return TailShape(2.0 / a_abs, (lead,),
-                                 validity="a = b = 1")
-            if a <= 1.0 + tol:
-                return TailShape(b / a_abs, (lead,),
-                                 validity="b > a = 1")
-            return TailShape(0.0, (lead,), validity="b >= a > 1")
-        if b > 1.0 + tol:
-            return TailShape(0.0, (lead, term_a),
-                             validity="b > 1 > a > 1/2")
-        if b >= 1.0 - tol:
-            return TailShape(a / a_abs, (lead, term_a),
-                             validity="1 = b > a > 1/2")
-        return TailShape(0.0, (lead, term_a, term_b),
-                         validity="1 > b >= a > 1/2")
-    if a > 1.0 / 3.0 + tol and 0.5 + tol < b < 1.0 - tol:
-        if a >= 0.5 - tol:
-            poly = math.gamma(b + 0.5) ** 2 / (2.0 * gb ** 2 * a_abs)
-            return TailShape(poly, (lead, term_a, term_b),
-                             validity="a = 1/2, 1/2 < b < 1")
-        term_2a = (-a * gab ** 2 / (gb ** 2 * (1.0 - 2.0 * a)
-                                    * a_abs ** (2.0 * a)), 1.0 - 2.0 * a)
-        if a + b > 1.0 + tol:
-            return TailShape(0.0, (lead, term_a, term_b, term_2a),
-                             validity="1/3 < a < 1/2, a + b > 1")
-        if a + b >= 1.0 - tol:
-            poly = 1.0 / (ga * gb * a_abs)
-            return TailShape(poly, (lead, term_a, term_b, term_2a),
-                             validity="1/3 < a < 1/2, a + b = 1")
-        term_ab = (-(a + b) * gab ** 2
-                   / (ga * gb * (1.0 - a - b) * a_abs ** (a + b)),
-                   1.0 - a - b)
-        return TailShape(0.0, (lead, term_a, term_b, term_2a, term_ab),
-                         validity="1/3 < a < 1/2, a + b < 1")
-    raise UncoveredRegion(
-        f"beta split family with (a, b) = ({a}, {b}) sits outside the "
-        "regions with a known closed shape (more and more expansion terms "
-        "appear as min(a, b) decreases)")
-
-
 def family_tail_shape(spec, alpha=None):
-    """Closed-form tail shape for a registry family.
+    """Tail shape of a registry family: the engine on its phi expansion.
 
     For the tree families (stable, ford, beta-splitting) the index of
     self-similarity is intrinsic; passing a conflicting alpha raises.  For
@@ -349,54 +325,11 @@ def family_tail_shape(spec, alpha=None):
         if alpha is not None and abs(as_alpha(alpha).alpha - builtin) > 1e-9:
             raise DomainError(
                 f"family {spec.family!r} has intrinsic index {builtin:.6g}")
-        alpha = AlphaIndex(builtin)
+        alpha = builtin
     elif alpha is None:
         raise DomainError(
             f"family {spec.family!r} needs an explicit self-similarity index")
-    else:
-        alpha = as_alpha(alpha)
-    a_abs = alpha.abs
-    fam = spec.family
-    if spec.variant == "atomic":
-        return TailShape(0.0, ((total_mass(spec), 1.0),),
-                         validity="finite atomic measure")
-    if fam == "uniform-k":
-        k = spec.param("k")
-        base = TailShape(2.0 / a_abs if k == 2 else 0.0, ((1.0, 1.0),),
-                         validity=f"uniform split into k = {k}")
-        return base.rescale_time(spec.scale)
-    if fam == "beta":
-        shape = _beta_shape(spec.param("a"), spec.param("b"), a_abs)
-        return shape.rescale_time(spec.scale)
-    if fam == "stable":
-        g = spec.param("gamma")
-        base = TailShape(1.0 + g / 2.0, (((g - 1.0) ** (g - 1.0), g),),
-                         validity="stable branching index in (1, 2]")
-        return base.rescale_time(spec.scale)
-    if fam == "ford":
-        a = spec.param("a")
-        poly = (2.0 * a * a - 7.0 * a + 4.0) / (2.0 * a * (1.0 - a))
-        coef = a ** (a / (1.0 - a)) * (1.0 - a)
-        base = TailShape(poly, ((coef, 1.0 / (1.0 - a)),),
-                         validity="alpha-model parameter in (0, 1)")
-        return base.rescale_time(spec.scale)
-    if fam == "beta-splitting":
-        beta = spec.param("beta")
-        if beta > -1.5 + 1e-12:
-            raise UncoveredRegion(
-                "beta-splitting closed shape covers beta in (-2, -3/2]; "
-                "above -3/2 additional terms enter the exponential")
-        a_coef = (-beta - 1.0) ** ((-beta - 1.0) / (beta + 2.0)) * (beta + 2.0)
-        b_coef = math.gamma(beta + 2.0) * float(rgamma(2.0 * beta + 3.0)) \
-            / (beta + 2.0)
-        terms = [(a_coef, 1.0 / (beta + 2.0))]
-        if b_coef != 0.0:
-            terms.append((-b_coef, 1.0))
-        base = TailShape((-2.0 * beta - 1.0) / (2.0 * (beta + 2.0)),
-                         tuple(terms),
-                         validity="beta-splitting parameter in (-2, -3/2]")
-        return base.rescale_time(spec.scale)
-    raise ConfigError(f"no closed shape registered for family {fam!r}")
+    return tail_shape_from_expansion(phi_expansion(spec), alpha)
 
 
 def kennedy_log_tail(t):

@@ -19,21 +19,18 @@ import numpy as np
 
 from . import acceptance
 from .errors import (ConfigError, DomainError, InsufficientWindow,
-                     NumericalFailure, UncoveredRegion, UnsupportedExpansion,
-                     UnsupportedSampling)
+                     NumericalFailure, UnsupportedSampling)
 from .measures import intrinsic_alpha, load_measure
 from .laplace import PhiEvaluator
 from .inversion import PsiSolver
 from .asymptotics import (TailShape, default_t0, extinction_log_tail,
-                          family_tail_shape, phi_expansion, tagged_log_tail,
-                          tail_shape_from_expansion)
+                          family_tail_shape, tagged_log_tail)
 from .simulate import (CascadeConfig, resolve_workers, run_ensemble,
                        sample_zeta_tag, _generator)
 from .stats import shape_fit, survival_curve, survival_grid
 
 _CONFIG_EXIT = (ConfigError, UnsupportedSampling, OSError)
-_NUMERIC_EXIT = (DomainError, NumericalFailure, UncoveredRegion,
-                 UnsupportedExpansion, InsufficientWindow)
+_NUMERIC_EXIT = (DomainError, NumericalFailure, InsufficientWindow)
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -106,8 +103,7 @@ def _alpha_for(spec, args):
 
 def _shape_json(shape):
     return {"poly_exponent": shape.poly_exponent,
-            "exp_terms": [[c, p] for c, p in shape.exp_terms],
-            "validity": shape.validity}
+            "exp_terms": [[c, p] for c, p in shape.exp_terms]}
 
 
 # -- verbs -------------------------------------------------------------------
@@ -147,33 +143,27 @@ def cmd_hcheck(args):
 
 
 _TAIL_MODES = {"theorem1": "exact", "exact": "exact",
-               "lemma9": "expansion", "expansion": "expansion",
-               "example": "family", "family": "family"}
+               "lemma9": "shape", "expansion": "shape",
+               "example": "shape", "family": "shape"}
 
 
 def cmd_tail(args):
     spec = load_measure(args.measure)
     alpha = _alpha_for(spec, args)
-    mode = _TAIL_MODES[args.mode]
-    shape = None
-    if mode == "exact":
+    if _TAIL_MODES[args.mode] == "exact":
         solver = PsiSolver(PhiEvaluator(spec))
         t0 = args.t0 if args.t0 is not None else default_t0(solver, alpha)
         est = extinction_log_tail(solver, alpha, args.t, t0=t0)
         tagged = tagged_log_tail(solver, alpha, args.t, t0=t0)
         out = {"log_value": est.log_value, "value_or_null": est.value,
-               "tagged_log_value": tagged.log_value, "t0": t0}
+               "tagged_log_value": tagged.log_value, "t0": t0, "shape": None}
     else:
-        if mode == "expansion":
-            shape = tail_shape_from_expansion(phi_expansion(spec), alpha)
-        else:
-            shape = family_tail_shape(spec, alpha)
+        shape = family_tail_shape(spec, alpha)
         log_value = float(shape.log_value(args.t))
         out = {"log_value": log_value,
                "value_or_null": math.exp(log_value)
                if log_value > -745.0 else None,
-               "t0": None}
-    out["shape"] = _shape_json(shape) if shape is not None else None
+               "t0": None, "shape": _shape_json(shape)}
     out["config"] = {"measure": args.measure, "alpha": alpha, "t": args.t,
                      "mode": args.mode, "t0": args.t0}
     _emit(out, args.out)

@@ -28,15 +28,5 @@ class DomainError(FragtailError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class UnsupportedExpansion(FragtailError):
-    """Expansion has correction exponents at or below 1/2; the transform
-    rules implemented here would miss second-order cross terms."""
-
-
-class UncoveredRegion(FragtailError):
-    """Family parameters fall outside the region with a known closed-form
-    tail shape."""
-
-
 class InsufficientWindow(FragtailError):
     """Too few survival-curve points inside the requested fit window."""

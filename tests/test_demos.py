@@ -1,22 +1,26 @@
-"""Every name a demo imports from fragtail still exists, and every result
-field a demo reads off an ensemble is one.
+"""Every name a demo imports from fragtail still exists, every result
+field a demo reads off an ensemble is one, and the quick demos run.
 
-The demos are not run here (they take minutes); their import statements and
-attribute reads are taken from the syntax tree, imports resolved the way
-``from m import n`` does.
+Demos 01 and 02 (about a second each) run end to end in a subprocess.
+The simulation demos 03 and 04 take about 10 s each, so they are checked
+from the syntax tree only: their import statements and attribute reads,
+imports resolved the way ``from m import n`` does.
 """
 
 import ast
 import dataclasses
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from fragtail.simulate import EnsembleResult
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos")
-               .glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _resolves(module, name):
@@ -70,3 +74,15 @@ def test_demo_ensemble_reads_exist(path):
                 and node.value.id in ensembles):
             assert node.attr in known, \
                 f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("name", ["01_laplace_exponents.py",
+                                  "02_tail_shapes.py"])
+def test_quick_demo_runs(name):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
